@@ -7,17 +7,15 @@
    mostly inside the wheel horizon with a heavy tail reaching the
    overflow heap.
 
-   The identical deterministic workload is driven through three engines:
+   The identical deterministic workload is driven through two engines:
 
    - [wheel] — lib/sim's hierarchical timer wheel (the default backend);
-   - [heap]  — the same engine forced onto its pure-heap backend;
-   - [seed]  — the vendored pre-wheel engine ({!Seed_engine}), which
-     allocates a boxed heap entry per push, option/tuple per pop and a
-     closure per timer re-arm.
+   - [heap]  — the same engine forced onto its pure-heap backend.
 
    Reports events/sec and minor-heap words allocated per fired event, and
-   emits BENCH_engine.json.  The PR's acceptance criterion is a >= 2x
-   reduction in words per event for [wheel] vs [seed]. *)
+   emits BENCH_engine.json.  The comparison against the pre-wheel engine
+   this one replaced (34.8 words/event at 10k sessions, ~7500x the
+   wheel's) is a recorded result, not re-run: see DESIGN.md §7. *)
 
 open Adaptive_sim
 
@@ -55,15 +53,6 @@ module Heap_engine = struct
 
   let one_shot = Engine.Timer.one_shot
   let reschedule = Engine.Timer.reschedule
-end
-
-module Seed = struct
-  include Seed_engine
-
-  type timer = Seed_engine.Timer.timer
-
-  let one_shot = Seed_engine.Timer.one_shot
-  let reschedule = Seed_engine.Timer.reschedule
 end
 
 type stats = {
@@ -145,7 +134,6 @@ end
 
 module Churn_wheel = Churn (Wheel_engine)
 module Churn_heap = Churn (Heap_engine)
-module Churn_seed = Churn (Seed)
 
 let pf = Format.printf
 
@@ -200,10 +188,7 @@ let micro_rearm () =
     Wheel_engine.events_fired;
   measure "heap" Heap_engine.create Heap_engine.one_shot Heap_engine.reschedule
     (fun e -> Heap_engine.run ~max_events:fires e)
-    Heap_engine.events_fired;
-  measure "seed" Seed.create Seed.one_shot Seed.reschedule
-    (fun e -> Seed.run ~max_events:fires e)
-    Seed.events_fired
+    Heap_engine.events_fired
 
 let e8_engine_scale () =
   let sessions = if !smoke then 500 else 10_000 in
@@ -213,17 +198,15 @@ let e8_engine_scale () =
     sessions fires (if !smoke then " [smoke]" else "");
   let wheel, wheel_engine = Churn_wheel.run ~sessions ~fires ~seed in
   let heap, _ = Churn_heap.run ~sessions ~fires ~seed in
-  let seed_stats, _ = Churn_seed.run ~sessions ~fires ~seed in
   report "wheel" wheel;
   report "heap" heap;
-  report "seed" seed_stats;
   pf "  wheel hit rate %.3f, cancelled ratio %.3f@."
     (Engine.wheel_hit_rate wheel_engine)
     (Engine.cancelled_ratio wheel_engine);
-  let improvement = words_per_event seed_stats /. words_per_event wheel in
-  pf "  allocation: %.2fx fewer words/event than seed engine (criterion >= 2.0: %s)@."
-    improvement
-    (if improvement >= 2.0 then "PASS" else "FAIL");
+  Util.shape_check
+    (Printf.sprintf "wheel steady state allocates < 1 word/event (%.3f)"
+       (words_per_event wheel))
+    (words_per_event wheel < 1.0);
   micro_rearm ();
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
@@ -232,10 +215,7 @@ let e8_engine_scale () =
   json_backend buf "wheel" wheel (wheel_extra wheel_engine);
   Buffer.add_string buf ",\n";
   json_backend buf "heap" heap "";
-  Buffer.add_string buf ",\n";
-  json_backend buf "seed" seed_stats "";
-  Buffer.add_string buf "\n  ],\n";
-  Printf.bprintf buf "  \"alloc_improvement_vs_seed\": %.3f\n}\n" improvement;
+  Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_engine.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -37,11 +37,11 @@ let registry =
     ("e8_engine_scale", Engine_scale.e8_engine_scale);
     ("e9_chaos", Chaos_bench.e9_chaos);
     ("e10_fleet_scale", Fleet_scale.e10_fleet_scale);
-    ("e11_swarm_scale", Swarm_scale.e11_swarm_scale);
+    ("e11_swarm_scale", Churn_scale.e11_swarm_scale);
     ("e12_wire_path", Wire_path.e12_wire_path);
-    ("e13_megaswarm_scale", Megaswarm_scale.e13_megaswarm_scale);
+    ("e13_megaswarm_scale", Churn_scale.e13_megaswarm_scale);
     ("e14_steer", Steer_bench.e14_steer);
-    ("e15_gigaswarm", Megaswarm_scale.e15_gigaswarm);
+    ("e15_gigaswarm", Churn_scale.e15_gigaswarm);
     ("a1_detection", Ablations.a1_detection);
     ("a2_fec_group", Ablations.a2_fec_group);
     ("a3_ack_delay", Ablations.a3_ack_delay);
@@ -77,9 +77,8 @@ let () =
       Engine_scale.smoke := true;
       Chaos_bench.smoke := true;
       Fleet_scale.smoke := true;
-      Swarm_scale.smoke := true;
+      Churn_scale.smoke := true;
       Wire_path.smoke := true;
-      Megaswarm_scale.smoke := true;
       Steer_bench.smoke := true;
       parse rest
     | "--jobs" :: n :: rest ->

@@ -79,7 +79,7 @@ let pin_fec (scs : Scs.t) =
 
 type arm = {
   arm_name : string;
-  outcome : Swarm.outcome;
+  outcome : Churn.outcome;
   elapsed_s : float;
 }
 
@@ -104,8 +104,8 @@ type arm = {
    binding constraint. *)
 let base_config ~sessions ~seed =
   {
-    (Swarm.default_config ~sessions ~seed) with
-    Swarm.monitored_share = 0;
+    (Churn.default_config ~sessions ~seed) with
+    Churn.monitored_share = 0;
     churn_rounds = 6;
     payload_bytes = 12_000;
     link_bps = 250e3 *. float_of_int sessions;
@@ -119,23 +119,23 @@ let base_config ~sessions ~seed =
 let run_arm ~sessions ~seed arm_name transform =
   let cfg = transform (base_config ~sessions ~seed) in
   let t0 = Unix.gettimeofday () in
-  let outcome = Swarm.run cfg in
+  let outcome = Churn.run cfg in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   { arm_name; outcome; elapsed_s }
 
-let goodput_bps (o : Swarm.outcome) =
-  let dt = Time.to_sec o.Swarm.sim_time in
-  if dt <= 0.0 then 0.0 else float_of_int (8 * o.Swarm.goodput_bytes) /. dt
+let goodput_bps (o : Churn.outcome) =
+  let dt = Time.to_sec o.Churn.sim_time in
+  if dt <= 0.0 then 0.0 else float_of_int (8 * o.Churn.goodput_bytes) /. dt
 
 let report_arm a =
   let o = a.outcome in
   pf
     "  %-10s goodput %9d bytes (%8.0f bit/s, raw delivered %9d)  faults %d  \
      violations %d%s@."
-    a.arm_name o.Swarm.goodput_bytes (goodput_bps o) o.Swarm.delivered_bytes
-    o.Swarm.faults_injected
-    (List.length o.Swarm.violations)
-    (match o.Swarm.steer_stats with
+    a.arm_name o.Churn.goodput_bytes (goodput_bps o) o.Churn.delivered_bytes
+    o.Churn.faults_injected
+    (List.length o.Churn.violations)
+    (match o.Churn.steer_stats with
     | Some (swaps, blocked) -> Printf.sprintf "  swaps %d blocked %d" swaps blocked
     | None -> "")
 
@@ -149,53 +149,53 @@ let e14_steer () =
 
   let steered =
     run_arm ~sessions ~seed "steered" (fun cfg ->
-        { cfg with Swarm.steer = Some Steer.default_policy })
+        { cfg with Churn.steer = Some Steer.default_policy })
   in
   let nosteer = run_arm ~sessions ~seed "nosteer" (fun cfg -> cfg) in
   let statics =
     List.map
       (fun (name, pin) ->
         run_arm ~sessions ~seed name (fun cfg ->
-            { cfg with Swarm.scs_transform = Some pin }))
+            { cfg with Churn.scs_transform = Some pin }))
       [ ("static-gbn", pin_gbn); ("static-sr", pin_sr); ("static-fec", pin_fec) ]
   in
   List.iter report_arm (steered :: nosteer :: statics);
 
   (* Steering cost accounting from the UNITES steer session. *)
-  let u = steered.outcome.Swarm.unites in
+  let u = List.hd steered.outcome.Churn.unites in
   (match Unites.stats u ~session:Unites.steer_session Unites.Steer_time_in_config with
   | Some s ->
     pf "  steer dwell time before swap: n=%d mean %.3f s p95 %.3f s max %.3f s@."
       s.Stats.n s.Stats.mean s.Stats.p95 s.Stats.max
   | None -> ());
 
-  let steered_bytes = steered.outcome.Swarm.goodput_bytes in
+  let steered_bytes = steered.outcome.Churn.goodput_bytes in
   Util.shape_check "steered run applied swaps"
-    (match steered.outcome.Swarm.steer_stats with
+    (match steered.outcome.Churn.steer_stats with
     | Some (swaps, _) -> swaps > 0
     | None -> false);
   List.iter
     (fun a ->
       Util.shape_check
         (Printf.sprintf "steered goodput beats %s (%d > %d bytes)" a.arm_name
-           steered_bytes a.outcome.Swarm.goodput_bytes)
-        (steered_bytes > a.outcome.Swarm.goodput_bytes))
+           steered_bytes a.outcome.Churn.goodput_bytes)
+        (steered_bytes > a.outcome.Churn.goodput_bytes))
     statics;
   Util.shape_check "steered run: zero invariant violations"
-    (steered.outcome.Swarm.violations = []);
+    (steered.outcome.Churn.violations = []);
   Util.shape_check "nosteer run: zero invariant violations"
-    (nosteer.outcome.Swarm.violations = []);
+    (nosteer.outcome.Churn.violations = []);
 
   (* Determinism: the steered arm replayed on four domains must land on
      the sequential digest. *)
   let steered_cfg sessions =
-    { (base_config ~sessions ~seed) with Swarm.steer = Some Steer.default_policy }
+    { (base_config ~sessions ~seed) with Churn.steer = Some Steer.default_policy }
   in
   let fleet_sessions = if !smoke then sessions else 1_000 in
-  let reference = (Swarm.run (steered_cfg fleet_sessions)).Swarm.digest in
+  let reference = (Churn.run (steered_cfg fleet_sessions)).Churn.digest in
   let digests =
     Adaptive_fleet.Fleet.map ~jobs:4
-      (fun s -> (Swarm.run (steered_cfg s)).Swarm.digest)
+      (fun s -> (Churn.run (steered_cfg s)).Churn.digest)
       (Array.make 4 fleet_sessions)
   in
   let fleet_ok = Array.for_all (fun d -> d = reference) digests in
@@ -216,29 +216,29 @@ let e14_steer () =
     (fun i a ->
       let o = a.outcome in
       let swaps, blocked =
-        match o.Swarm.steer_stats with Some sb -> sb | None -> (0, 0)
+        match o.Churn.steer_stats with Some sb -> sb | None -> (0, 0)
       in
       Printf.bprintf buf
         {|    { "arm": "%s", "goodput_bytes": %d, "delivered_bytes": %d,
       "goodput_bps": %.0f, "faults_injected": %d, "violations": %d,
       "steer_swaps": %d, "steer_blocked": %d, "digest": "0x%Lx" }%s
 |}
-        a.arm_name o.Swarm.goodput_bytes o.Swarm.delivered_bytes (goodput_bps o)
-        o.Swarm.faults_injected
-        (List.length o.Swarm.violations)
-        swaps blocked o.Swarm.digest
+        a.arm_name o.Churn.goodput_bytes o.Churn.delivered_bytes (goodput_bps o)
+        o.Churn.faults_injected
+        (List.length o.Churn.violations)
+        swaps blocked o.Churn.digest
         (if i = List.length arms - 1 then "" else ","))
     arms;
   let best_static =
     List.fold_left
-      (fun acc a -> max acc a.outcome.Swarm.goodput_bytes)
+      (fun acc a -> max acc a.outcome.Churn.goodput_bytes)
       0 statics
   in
   Printf.bprintf buf
     "  ],\n  \"steered_beats_every_static\": %b,\n  \
      \"steered_over_best_static\": %.4f,\n  \"fleet_jobs4_identical\": %b\n}\n"
     (List.for_all
-       (fun a -> steered_bytes > a.outcome.Swarm.goodput_bytes)
+       (fun a -> steered_bytes > a.outcome.Churn.goodput_bytes)
        statics)
     (if best_static = 0 then 0.0
      else float_of_int steered_bytes /. float_of_int best_static)

@@ -168,32 +168,32 @@ let e12_wire_path () =
   (* Wire-true vs value mode on the lossless SWARM LAN. *)
   let sessions = if !smoke then 200 else 1_000 in
   let seed = 0xE12 in
-  let value_cfg = Swarm.default_config ~sessions ~seed in
-  let wire_cfg = { value_cfg with Swarm.wire = true } in
-  let value_o = Swarm.run value_cfg in
-  let wire_o = Swarm.run wire_cfg in
-  pf "  value mode: digest=0x%Lx  wire mode: digest=0x%Lx@." value_o.Swarm.digest
-    wire_o.Swarm.digest;
-  (match wire_o.Swarm.wire_report with
+  let value_cfg = Churn.default_config ~sessions ~seed in
+  let wire_cfg = { value_cfg with Churn.wire = true } in
+  let value_o = Churn.run value_cfg in
+  let wire_o = Churn.run wire_cfg in
+  pf "  value mode: digest=0x%Lx  wire mode: digest=0x%Lx@." value_o.Churn.digest
+    wire_o.Churn.digest;
+  (match wire_o.Churn.wire_report with
   | None -> ()
   | Some w ->
     pf "  wire: encodes=%d decodes=%d rejects=%d fused_sums=%d pool_reuse=%.3f@."
       w.Session.Wire.encodes w.Session.Wire.decodes w.Session.Wire.rejects
       w.Session.Wire.fused_sums w.Session.Wire.pool_reuse_rate);
   Util.shape_check "wire-true digest equals value-mode digest (lossless)"
-    (wire_o.Swarm.digest = value_o.Swarm.digest);
-  let wire_o2 = Swarm.run wire_cfg in
+    (wire_o.Churn.digest = value_o.Churn.digest);
+  let wire_o2 = Churn.run wire_cfg in
   Util.shape_check "wire-true rerun: identical digest"
-    (wire_o2.Swarm.digest = wire_o.Swarm.digest);
+    (wire_o2.Churn.digest = wire_o.Churn.digest);
   let digests =
     Adaptive_fleet.Fleet.map ~jobs:4
-      (fun cfg -> (Swarm.run cfg).Swarm.digest)
+      (fun cfg -> (Churn.run cfg).Churn.digest)
       (Array.make 4 wire_cfg)
   in
   Util.shape_check "jobs=4 fleet replay: all wire digests identical"
-    (Array.for_all (fun d -> d = wire_o.Swarm.digest) digests);
+    (Array.for_all (fun d -> d = wire_o.Churn.digest) digests);
   let wr =
-    match wire_o.Swarm.wire_report with
+    match wire_o.Churn.wire_report with
     | Some w -> w
     | None -> failwith "e12: wire run produced no wire report"
   in
@@ -225,9 +225,9 @@ let e12_wire_path () =
     \  \"digest_parity\": %b,\n  \"rerun_stable\": %b,\n\
     \  \"fleet_jobs4_identical\": %b,\n"
     enc_ratio scan_ratio
-    (wire_o.Swarm.digest = value_o.Swarm.digest)
-    (wire_o2.Swarm.digest = wire_o.Swarm.digest)
-    (Array.for_all (fun d -> d = wire_o.Swarm.digest) digests);
+    (wire_o.Churn.digest = value_o.Churn.digest)
+    (wire_o2.Churn.digest = wire_o.Churn.digest)
+    (Array.for_all (fun d -> d = wire_o.Churn.digest) digests);
   Printf.bprintf buf_j
     "  \"wire\": { \"encodes\": %d, \"decodes\": %d, \"rejects\": %d, \
      \"fused_sums\": %d, \"pool_reuse_rate\": %.4f }\n}\n"

@@ -8,9 +8,8 @@
                                and print the UNITES report
      chaos                     randomized fault-injection soaks
      fleet                     seeds x environments campaign across domains
-     swarm                     many-session churn with admission control
-     megaswarm                 partitioned churn sharded across domains
-     wire                      wire-true vs value-mode digest parity
+     churn                     many-session churn, optionally partitioned
+                               across domains
 
    Example:
      adaptive_cli run -a voice -n satellite -d 10 *)
@@ -283,188 +282,95 @@ let run_fleet replicas seed seeds env jobs no_baseline =
     `Error (false, "parallel run diverged from sequential baseline")
   else `Ok ()
 
-(* --------------------------------------------------------------- swarm *)
+(* --------------------------------------------------------------- churn *)
 
-(* Many-session churn on one host pair (the e11 workload), with optional
-   MANTTS admission thresholds to demonstrate graceful degradation. *)
-let run_swarm sessions churn seed soft hard wire steer chaos_seed =
-  let admission =
-    match (soft, hard) with
-    | None, None -> None
-    | _ ->
-      let hard = match hard with Some h -> h | None -> sessions in
-      let soft = match soft with Some s -> s | None -> hard in
-      Some
-        {
-          Mantts.soft_sessions = soft;
-          hard_sessions = hard;
-          max_cpu_backlog = Time.ms 50;
-        }
-  in
-  Format.printf "swarm: %d session slot(s), %d churn round(s), seed %d%s%s%s%s@."
-    sessions churn seed
-    (match admission with
-    | None -> ""
-    | Some p ->
-      Printf.sprintf ", admission soft=%d hard=%d" p.Mantts.soft_sessions
-        p.Mantts.hard_sessions)
-    (if wire then ", wire-true mode" else "")
-    (if steer then ", steered" else "")
-    (match chaos_seed with
-    | None -> ""
-    | Some s -> Printf.sprintf ", chaos seed %d" s);
-  let chaos =
-    Option.map
-      (fun s ->
-        Adaptive_chaos.Fault.random_schedule ~rng:(Rng.create s)
-          ~classes:
-            [
-              Adaptive_chaos.Fault.Ber_burst;
-              Adaptive_chaos.Fault.Congestion_storm;
-              Adaptive_chaos.Fault.Route_flap;
-            ]
-          ())
-      chaos_seed
-  in
-  let cfg =
-    { (Swarm.default_config ~sessions ~seed) with
-      Swarm.churn_rounds = churn;
-      admission;
-      wire;
-      steer = (if steer then Some Steer.default_policy else None);
-      chaos;
-      check_invariants = steer || chaos <> None }
-  in
-  let t0 = Unix.gettimeofday () in
-  let o = Swarm.run cfg in
-  let wall = Unix.gettimeofday () -. t0 in
-  Format.printf "%a@." Swarm.pp_outcome o;
-  Format.printf "UNITES swarm session:@.";
-  List.iter
-    (fun m ->
-      match Unites.stats o.Swarm.unites ~session:Unites.swarm_session m with
-      | None -> ()
-      | Some s ->
-        Format.printf
-          "  %-16s n=%-6d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f@."
-          (Unites.metric_name m) s.Stats.n s.Stats.mean s.Stats.p50 s.Stats.p95
-          s.Stats.p99 s.Stats.max)
-    [
-      Unites.Sessions_open;
-      Unites.Sessions_refused;
-      Unites.Sessions_degraded;
-      Unites.Demux_probes;
-      Unites.Table_occupancy;
-      Unites.Timewait_drops;
-    ];
-  if wire then begin
-    Format.printf "UNITES wire session:@.";
-    List.iter
-      (fun m ->
-        match Unites.stats o.Swarm.unites ~session:Unites.wire_session m with
-        | None -> ()
-        | Some s ->
-          Format.printf "  %-16s %.3f@." (Unites.metric_name m) s.Stats.mean)
+(* The whitebox pseudo-sessions a churn run fills, with the metrics worth
+   printing from each. *)
+let whitebox =
+  [
+    ( "swarm",
+      Unites.swarm_session,
       [
-        Unites.Wire_encodes;
-        Unites.Wire_decodes;
-        Unites.Wire_rejects;
-        Unites.Wire_fused_sums;
-        Unites.Wire_pool_reuse;
-      ]
-  end;
-  (match o.Swarm.steer_stats with
-  | None -> ()
-  | Some _ ->
-    Format.printf "UNITES steer session:@.";
-    List.iter
-      (fun m ->
-        match Unites.stats o.Swarm.unites ~session:Unites.steer_session m with
-        | None -> ()
-        | Some s ->
-          Format.printf "  %-22s n=%-6d mean=%.3f max=%.3f@."
-            (Unites.metric_name m) s.Stats.n s.Stats.mean s.Stats.max)
-      [ Unites.Steer_swaps; Unites.Steer_blocked; Unites.Steer_time_in_config ];
-    List.iter
-      (fun v ->
-        Format.printf "  violation: %a@." Adaptive_chaos.Invariant.pp_violation v)
-      o.Swarm.violations);
-  Format.printf "wall %.3f s (%.0f admitted sessions/s, %.0f events/s)@." wall
-    (if wall > 0.0 then float_of_int o.Swarm.admitted /. wall else 0.0)
-    (if wall > 0.0 then float_of_int o.Swarm.events_fired /. wall else 0.0);
-  if o.Swarm.violations <> [] then `Error (false, "invariant violations found")
-  else `Ok ()
+        Unites.Sessions_open; Sessions_refused; Sessions_degraded; Demux_probes;
+        Table_occupancy; Timewait_drops;
+      ] );
+    ( "wire",
+      Unites.wire_session,
+      [
+        Unites.Wire_encodes; Wire_decodes; Wire_rejects; Wire_fused_sums;
+        Wire_pool_reuse;
+      ] );
+    ( "steer",
+      Unites.steer_session,
+      [ Unites.Steer_swaps; Steer_blocked; Steer_time_in_config ] );
+  ]
 
-(* ----------------------------------------------------------- megaswarm *)
+let print_whitebox (o : Churn.outcome) =
+  List.iteri
+    (fun p u ->
+      List.iter
+        (fun (label, session, metrics) ->
+          let rows =
+            List.filter_map
+              (fun m -> Option.map (fun s -> (m, s)) (Unites.stats u ~session m))
+              metrics
+          in
+          if rows <> [] then begin
+            Format.printf "UNITES %s session (partition %d):@." label p;
+            List.iter
+              (fun (m, s) ->
+                Format.printf
+                  "  %-22s n=%-6d mean=%.3f p50=%.3f p99=%.3f max=%.3f@."
+                  (Unites.metric_name m) s.Stats.n s.Stats.mean s.Stats.p50
+                  s.Stats.p99 s.Stats.max)
+              rows
+          end)
+        whitebox)
+    o.Churn.unites
 
-(* Partitioned churn across domains (the e13 workload).  --parity re-runs
-   the identical configuration single-sharded and checks the combined
-   digest and every rendered UNITES report byte-for-byte — shard count is
-   an execution choice, never a result. *)
-let run_megaswarm sessions partitions shards churn seed parity steer spread_ms
-    cap =
-  let cfg =
-    { (Megaswarm.default_config ~sessions ~seed) with
-      Megaswarm.partitions;
-      shards;
-      churn_rounds = churn;
-      wan_spread = Time.ms spread_ms;
-      session_cap = (if cap > 0 then Some cap else None);
-      steer = (if steer then Some Steer.default_policy else None) }
-  in
-  Format.printf
-    "megaswarm: %d session slot(s), %d partition(s), %d shard(s), %d churn \
-     round(s), seed %d@."
-    sessions partitions shards churn seed;
-  let t0 = Unix.gettimeofday () in
-  let o = Megaswarm.run cfg in
-  let wall = Unix.gettimeofday () -. t0 in
-  Format.printf "%a@." Megaswarm.pp_outcome o;
-  Format.printf "wall %.3f s (%.0f events/s)@." wall
-    (if wall > 0.0 then float_of_int o.Megaswarm.events_fired /. wall else 0.0);
-  if (not parity) || shards = 1 then `Ok ()
-  else begin
-    Format.printf "@.parity: re-running with --shards 1...@.";
-    let o1 = Megaswarm.run { cfg with Megaswarm.shards = 1 } in
-    let digests = Int64.equal o.Megaswarm.digest o1.Megaswarm.digest in
-    let unites = o.Megaswarm.unites_reports = o1.Megaswarm.unites_reports in
-    Format.printf "digests %s; UNITES reports %s@."
-      (if digests then "match" else "DIFFER")
-      (if unites then "byte-identical" else "DIFFER");
-    if digests && unites then `Ok ()
-    else `Error (false, "sharded run diverged from the single-shard baseline")
-  end
-
-(* ---------------------------------------------------------------- wire *)
-
-(* Run the same seeded swarm twice — value mode, then wire-true — and
-   check the digests: on the lossless swarm LAN the wire hooks must add
-   zero simulated time and no random draws, so the FNV-1a trace digests
-   must be identical. *)
-let run_wire sessions churn seed =
-  Format.printf
-    "wire parity: %d session slot(s), %d churn round(s), seed %d@." sessions
-    churn seed;
-  let base =
-    { (Swarm.default_config ~sessions ~seed) with Swarm.churn_rounds = churn }
-  in
-  let value_o = Swarm.run base in
-  let wire_o = Swarm.run { base with Swarm.wire = true } in
-  Format.printf "value mode: digest 0x%016Lx@." value_o.Swarm.digest;
-  Format.printf "wire  mode: digest 0x%016Lx@." wire_o.Swarm.digest;
-  (match wire_o.Swarm.wire_report with
-  | None -> ()
-  | Some w ->
+(* The churn workload (e11-e15): one host pair by default, [--partitions]
+   joined by a WAN and executed over [--shards] domains.  [--parity]
+   re-runs the same configuration single-sharded and in value mode and
+   checks the digest — and, unless the run was wire-true, every rendered
+   UNITES report — byte-for-byte: neither the shard count nor the wire
+   path may change a result. *)
+let run_churn (cfg : Churn.config) parity =
+  match Churn.validate cfg with
+  | Error msg -> `Error (false, "invalid churn configuration: " ^ msg)
+  | Ok cfg ->
     Format.printf
-      "wire path: %d encode(s), %d decode(s), %d reject(s), %d fused        checksum(s), pool reuse %.3f@."
-      w.Session.Wire.encodes w.Session.Wire.decodes w.Session.Wire.rejects
-      w.Session.Wire.fused_sums w.Session.Wire.pool_reuse_rate);
-  if Int64.equal value_o.Swarm.digest wire_o.Swarm.digest then begin
-    Format.printf
-      "digest parity: wire-true bytes replay the value-mode run exactly@.";
-    `Ok ()
-  end
-  else `Error (false, "wire-true digest diverged from value mode")
+      "churn: %d session slot(s), %d partition(s), %d shard(s), %d churn \
+       round(s), seed %d@."
+      cfg.Churn.sessions cfg.Churn.partitions cfg.Churn.shards
+      cfg.Churn.churn_rounds cfg.Churn.seed;
+    let t0 = Unix.gettimeofday () in
+    let o = Churn.run cfg in
+    let wall = Unix.gettimeofday () -. t0 in
+    Format.printf "%a@." Churn.pp_outcome o;
+    print_whitebox o;
+    List.iter
+      (fun v -> Format.printf "violation: %a@." Adaptive_chaos.Invariant.pp_violation v)
+      o.Churn.violations;
+    Format.printf "wall %.3f s (%.0f admitted sessions/s, %.0f events/s)@." wall
+      (if wall > 0.0 then float_of_int o.Churn.admitted /. wall else 0.0)
+      (if wall > 0.0 then float_of_int o.Churn.events_fired /. wall else 0.0);
+    if o.Churn.violations <> [] then `Error (false, "invariant violations found")
+    else if not parity then `Ok ()
+    else begin
+      Format.printf "@.parity: re-running with --shards 1 in value mode...@.";
+      let o1 = Churn.run { cfg with Churn.shards = 1; wire = false } in
+      let digests = Int64.equal o.Churn.digest o1.Churn.digest in
+      let unites =
+        cfg.Churn.wire || Churn.unites_reports o = Churn.unites_reports o1
+      in
+      Format.printf "digests %s; UNITES reports %s@."
+        (if digests then "match" else "DIFFER")
+        (if cfg.Churn.wire then "not compared (wire session)"
+         else if unites then "byte-identical"
+         else "DIFFER");
+      if digests && unites then `Ok ()
+      else `Error (false, "run diverged from the single-shard value-mode baseline")
+    end
 
 (* ------------------------------------------------------------- cmdliner *)
 
@@ -619,64 +525,102 @@ let chaos_cmd =
         (const run_chaos $ schedules_arg $ seed_arg $ seeds_arg $ env_arg
        $ sabotage_arg $ jobs_arg))
 
-let sessions_arg =
-  Arg.(
-    value
-    & opt int 1000
-    & info [ "sessions" ] ~docv:"N" ~doc:"Concurrent session slots to churn.")
-
-let churn_arg =
-  Arg.(
-    value
-    & opt int 2
-    & info [ "churn" ] ~docv:"N"
-        ~doc:"Close/reopen cycles per slot after the first open.")
-
-let soft_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "soft" ] ~docv:"N"
-        ~doc:
-          "Admission soft threshold: past $(docv) live sessions new opens \
-           are negotiated down to a lighter configuration.")
-
-let hard_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "hard" ] ~docv:"N"
-        ~doc:"Admission hard threshold: past $(docv) live sessions new \
-              opens are refused.")
-
-let wire_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "wire" ]
-        ~doc:
-          "Run in wire-true mode: every PDU crosses the network as real            bytes through the fused zero-copy codec path.")
-
-let steer_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "steer" ]
-        ~doc:
-          "Put every admitted session under the STEER closed-loop policy \
-           engine: loss-driven ARQ swaps, burst-loss FEC, congestion rate \
-           backoff and idle shedding, each gated by hysteresis and the \
-           500 ms reconfigure cooldown.")
-
-let chaos_seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chaos-seed" ] ~docv:"SEED"
-        ~doc:
-          "Install a seeded random ber-burst / congestion-storm / \
-           route-flap schedule against the swarm link — the backdrop the \
-           steered population adapts to.")
+(* One term builds the whole [Churn.config]: every flag maps to one
+   config field, and everything else keeps [Churn.default_config]. *)
+let churn_config =
+  let int_opt name ~docv ~default doc =
+    Arg.(value & opt int default & info [ name ] ~docv ~doc)
+  in
+  let make sessions partitions shards churn_rounds seed soft hard wire steer
+      chaos_seed spread_ms cap =
+    let admission =
+      match (soft, hard) with
+      | None, None -> None
+      | _ ->
+        let hard = Option.value hard ~default:sessions in
+        Some
+          {
+            Mantts.soft_sessions = Option.value soft ~default:hard;
+            hard_sessions = hard;
+            max_cpu_backlog = Time.ms 50;
+          }
+    in
+    let chaos =
+      Option.map
+        (fun s ->
+          Adaptive_chaos.Fault.random_schedule ~rng:(Rng.create s)
+            ~classes:Adaptive_chaos.Fault.[ Ber_burst; Congestion_storm; Route_flap ]
+            ())
+        chaos_seed
+    in
+    {
+      (Churn.default_config ~sessions ~seed) with
+      Churn.partitions;
+      shards;
+      churn_rounds;
+      admission;
+      wire;
+      steer = (if steer then Some Steer.default_policy else None);
+      chaos;
+      check_invariants = steer || chaos <> None;
+      wan_spread = Time.ms spread_ms;
+      session_cap = (if cap > 0 then Some cap else None);
+    }
+  in
+  let soft_hard name what =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ name ] ~docv:"N"
+          ~doc:(Printf.sprintf "Admission %s threshold: past $(docv) live \
+                                sessions new opens are %s." name what))
+  in
+  Term.(
+    const make
+    $ int_opt "sessions" ~docv:"N" ~default:1000 "Session slots to churn."
+    $ int_opt "partitions" ~docv:"P" ~default:1
+        "Logical partitions joined by a WAN (part of the workload, \
+         independent of the shard count)."
+    $ int_opt "shards" ~docv:"N" ~default:1
+        "Execution domains; any value produces the same digest and UNITES \
+         output."
+    $ int_opt "churn" ~docv:"N" ~default:2
+        "Close/reopen cycles per slot after the first open."
+    $ seed_arg
+    $ soft_hard "soft" "negotiated down to a lighter configuration"
+    $ soft_hard "hard" "refused"
+    $ Arg.(
+        value & flag
+        & info [ "wire" ]
+            ~doc:
+              "Run in wire-true mode: every PDU crosses the network as real \
+               bytes through the fused zero-copy codec path (one partition \
+               only: a frame lease cannot cross partitions).")
+    $ Arg.(
+        value & flag
+        & info [ "steer" ]
+            ~doc:
+              "Put every admitted session under the STEER closed-loop policy \
+               engine: loss-driven ARQ swaps, burst-loss FEC, congestion \
+               rate backoff and idle shedding, each gated by hysteresis and \
+               the 500 ms reconfigure cooldown.")
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "chaos-seed" ] ~docv:"SEED"
+            ~doc:
+              "Install a seeded random ber-burst / congestion-storm / \
+               route-flap schedule against every partition's LAN — the \
+               backdrop the steered population adapts to.")
+    $ int_opt "spread" ~docv:"MS" ~default:0
+        "Maximum extra per-pair WAN latency in milliseconds: each ordered \
+         partition pair gets a deterministic latency in [base, base + \
+         spread], and SHARD synchronizes on the matching per-pair lookahead \
+         matrix.  0 keeps the uniform WAN."
+    $ int_opt "cap" ~docv:"N" ~default:0
+        "Track at most N distinct sessions per partition in UNITES; the rest \
+         fold into one overflow bucket (totals preserved, digest \
+         unchanged).  0 disables the cap.")
 
 let fleet_cmd =
   Cmd.v
@@ -690,93 +634,30 @@ let fleet_cmd =
         (const run_fleet $ replicas_arg $ seed_arg $ seeds_arg $ env_arg
        $ jobs_arg $ no_baseline_arg))
 
-let swarm_cmd =
+let churn_cmd =
   Cmd.v
-    (Cmd.info "swarm"
+    (Cmd.info "churn"
        ~doc:
-         "Churn many concurrent sessions through one host pair (open → \
-          transfer → close across the Table 1 mix) and print the swarm \
-          whitebox report; --soft/--hard install MANTTS admission control")
+         "Churn session slots through open → transfer → close across the \
+          Table 1 mix — on one host pair, or across several partitions \
+          joined by a WAN and executed over OCaml domains with conservative \
+          barrier-window synchronization — and print the whitebox report; \
+          --soft/--hard install MANTTS admission control")
     Term.(
       ret
-        (const run_swarm $ sessions_arg $ churn_arg $ seed_arg $ soft_arg
-       $ hard_arg $ wire_flag $ steer_flag $ chaos_seed_arg))
-
-let partitions_arg =
-  Arg.(
-    value
-    & opt int 4
-    & info [ "partitions" ] ~docv:"P"
-        ~doc:
-          "Logical partitions (part of the workload, independent of the \
-           shard count).")
-
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Execution domains; any value produces the same digest and \
-           UNITES output.")
-
-let parity_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "parity" ]
-        ~doc:
-          "Re-run the same configuration with --shards 1 and check the \
-           digest and UNITES reports byte-for-byte.")
-
-let spread_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "spread" ] ~docv:"MS"
-        ~doc:
-          "Maximum extra per-pair WAN latency in milliseconds: each ordered \
-           partition pair gets a deterministic latency in [base, base + \
-           spread], and SHARD synchronizes on the matching per-pair \
-           lookahead matrix.  0 keeps the uniform WAN.")
-
-let cap_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "cap" ] ~docv:"N"
-        ~doc:
-          "Track at most N distinct sessions per partition in UNITES; the \
-           rest fold into one overflow bucket (totals preserved, digest \
-           unchanged).  0 disables the cap.")
-
-let megaswarm_cmd =
-  Cmd.v
-    (Cmd.info "megaswarm"
-       ~doc:
-         "Churn sessions across several logical partitions joined by a \
-          constant-latency WAN, executed over OCaml domains with \
-          conservative barrier-window synchronization; the result is \
-          independent of --shards")
-    Term.(
-      ret
-        (const run_megaswarm $ sessions_arg $ partitions_arg $ shards_arg
-       $ churn_arg $ seed_arg $ parity_arg $ steer_flag $ spread_arg $ cap_arg))
-
-let wire_cmd =
-  Cmd.v
-    (Cmd.info "wire"
-       ~doc:
-         "Run the same seeded swarm in value mode and wire-true mode and           check that the trace digests match — the zero-copy wire path           must replay the simulation byte-for-byte")
-    Term.(ret (const run_wire $ sessions_arg $ churn_arg $ seed_arg))
+        (const run_churn $ churn_config
+        $ Arg.(
+            value & flag
+            & info [ "parity" ]
+                ~doc:
+                  "Re-run the configuration with --shards 1 in value mode and \
+                   check the digest (and, without --wire, every UNITES \
+                   report) byte-for-byte.")))
 
 let main =
   Cmd.group
     (Cmd.info "adaptive_cli" ~version:"1.0"
        ~doc:"The ADAPTIVE transport system reproduction")
-    [
-      apps_cmd; networks_cmd; classify_cmd; run_cmd; chaos_cmd; fleet_cmd;
-      swarm_cmd; megaswarm_cmd; wire_cmd;
-    ]
+    [ apps_cmd; networks_cmd; classify_cmd; run_cmd; chaos_cmd; fleet_cmd; churn_cmd ]
 
 let () = exit (Cmd.eval main)

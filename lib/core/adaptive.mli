@@ -37,7 +37,7 @@ val create_stack :
     [metric_reservoir] bounds each UNITES accumulator's quantile
     reservoir (default 8192) — many-session workloads shrink it.
     [metric_estimator] selects the UNITES quantile sketch (default
-    reservoir sampling; megaswarm passes {!Stats.P2} for flat memory). *)
+    reservoir sampling; large churn runs pass {!Stats.P2} for flat memory). *)
 
 val mantts : stack -> Mantts.t
 (** The policy subsystem. *)

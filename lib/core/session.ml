@@ -319,6 +319,15 @@ let inject_to t dsts pdu =
 
 let inject t pdu = inject_to t t.peers pdu
 
+(* A reply the dispatcher sends with no endpoint behind it (time-wait
+   re-answers, rejections), sized like every other injection by its wire
+   encoding. *)
+let dispatcher_reply disp (recv : Pdu.t Network.recv) pdu =
+  let bytes = Pdu.wire_bytes pdu in
+  let done_at = Host.process disp.d_host ~bytes () in
+  Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
+      Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes pdu)
+
 let count_control t = Unites.count (unites t) ~session:t.id Unites.Control_pdus
 
 (* ------------------------------------------------------------------ *)
@@ -1050,10 +1059,7 @@ and handle_timewait disp (recv : Pdu.t Network.recv) ~conn pdu =
   | Pdu.Fin _ ->
     (* The peer is retrying its side of the teardown after ours finished:
        re-answer so it can release its endpoint too. *)
-    let done_at = Host.process disp.d_host ~bytes:64 () in
-    Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
-        Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes:64
-          (Pdu.Fin_ack { conn }))
+    dispatcher_reply disp recv (Pdu.Fin_ack { conn })
   | _ ->
     Unites.count disp.d_unites ~session:Unites.swarm_session Unites.Timewait_drops
 
@@ -1065,11 +1071,7 @@ and accept_connection disp (recv : Pdu.t Network.recv) ~conn ~blob ~first =
     match acceptor ~src:recv.Network.src ~conn ~proposal with
     | Reject ->
       (* A rejection still answers, so the initiator can fail fast. *)
-      let engine = disp.d_engine in
-      let done_at = Host.process disp.d_host ~bytes:64 () in
-      Engine.schedule_anon engine ~at:done_at (fun () ->
-          Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes:64
-            (Pdu.Syn_ack { conn; accepted = false; blob = "" }))
+      dispatcher_reply disp recv (Pdu.Syn_ack { conn; accepted = false; blob = "" })
     | Accept { scs; name; on_deliver; on_signal } ->
       let start_seq = decode_start_seq blob in
       let t =

@@ -54,7 +54,7 @@ val fresh_conn_id : 'm t -> int
 
 val set_conn_stripe : 'm t -> stride:int -> offset:int -> unit
 (** Stripe this network's connection ids: the k-th allocation returns
-    [(k-1) * stride + offset + 1].  Partitioned (megaswarm) runs give
+    [(k-1) * stride + offset + 1].  Partitioned churn runs give
     partition [p] of [P] the stripe [~stride:P ~offset:p], so ids are
     globally unique and a cross-partition session never collides with a
     local one at the remote dispatcher.  Must be called before any id is

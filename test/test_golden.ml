@@ -111,15 +111,17 @@ let test_unites_report () =
   Format.pp_print_flush fmt ();
   check_golden "unites report" unites_report_golden (Buffer.contents buf)
 
-(* One wire-true run pinned end to end: the swarm outcome (with its wire
+(* One wire-true run pinned end to end: the churn outcome (with its wire
    report line) and the full UNITES repository, including the wire
    pseudo-session.  Any change to the wire path's accounting, the codec's
    byte counts, or frame-level determinism shows up here as a digest or
    counter drift. *)
 let wire_swarm_golden =
-  {golden|swarm: offered=10 admitted=10 degraded=0 refused=0 closed=10
+  {golden|churn: offered=10 admitted=10 degraded=0 refused=0 closed=10 cross=0
 delivered: 10 msgs, 22096 bytes; peak live=5; table capacity=16
 demux probes: mean=1.000 p99=1; occupancy p99=0.500; timewait drops=0
+monitor ticks=14 walked=12; tw sweeps=18 expired=20
+partitions=1 wan msgs=0; sync windows=68 skipped=39
 events=218 sim_time=7.000s digest=0x6bdd92b6ac9d6f04
 wire: encodes=52 decodes=52 rejects=0 fused_sums=0 pool_reuse=1.000
 === unites ===
@@ -190,16 +192,16 @@ trace (dropped log entries: 0):
 let wire_swarm_output () =
   let open Adaptive_workloads in
   let cfg =
-    { (Swarm.default_config ~sessions:5 ~seed:424242) with
-      Swarm.churn_rounds = 1;
+    { (Churn.default_config ~sessions:5 ~seed:424242) with
+      Churn.churn_rounds = 1;
       wire = true }
   in
-  let o = Swarm.run cfg in
+  let o = Churn.run cfg in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Format.asprintf "%a" Swarm.pp_outcome o);
+  Buffer.add_string buf (Format.asprintf "%a" Churn.pp_outcome o);
   Buffer.add_string buf "\n=== unites ===\n";
   let fmt = Format.formatter_of_buffer buf in
-  Unites.report fmt o.Swarm.unites;
+  Unites.report fmt (List.hd o.Churn.unites);
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
@@ -213,9 +215,11 @@ let test_wire_swarm () =
    notably the "steer" pseudo-session carrying the per-swap cost
    accounting — are pinned byte-for-byte.  Any drift in the policy
    rules, the swap accounting, or steered-run determinism lands here. *)
-let steer_swarm_golden = {golden|swarm: offered=12 admitted=12 degraded=0 refused=0 closed=12
+let steer_swarm_golden = {golden|churn: offered=12 admitted=12 degraded=0 refused=0 closed=12 cross=0
 delivered: 76 msgs, 100900 bytes; peak live=6; table capacity=16
 demux probes: mean=1.000 p99=1; occupancy p99=0.625; timewait drops=0
+monitor ticks=0 walked=0; tw sweeps=18 expired=24
+partitions=1 wan msgs=0; sync windows=113 skipped=58
 events=854 sim_time=7.000s digest=0x93799c1458cb517e
 steer: swaps=8 blocked=14 faults=1 violations=0 goodput=100900
 === unites ===
@@ -303,8 +307,8 @@ let steer_swarm_output () =
         target = 0; intensity = 0.8 } ]
   in
   let cfg =
-    { (Swarm.default_config ~sessions:6 ~seed:31337) with
-      Swarm.churn_rounds = 1;
+    { (Churn.default_config ~sessions:6 ~seed:31337) with
+      Churn.churn_rounds = 1;
       monitored_share = 0;
       payload_bytes = 12_000;
       link_bps = 30e6;
@@ -312,12 +316,12 @@ let steer_swarm_output () =
       steer = Some Adaptive_core.Steer.default_policy;
       chaos = Some burst }
   in
-  let o = Swarm.run cfg in
+  let o = Churn.run cfg in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Format.asprintf "%a" Swarm.pp_outcome o);
+  Buffer.add_string buf (Format.asprintf "%a" Churn.pp_outcome o);
   Buffer.add_string buf "\n=== unites ===\n";
   let fmt = Format.formatter_of_buffer buf in
-  Unites.report fmt o.Swarm.unites;
+  Unites.report fmt (List.hd o.Churn.unites);
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 

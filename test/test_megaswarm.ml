@@ -1,57 +1,112 @@
-(* MEGASWARM test layer: shard-count invariance of the partitioned
-   workload (the digest and every rendered UNITES report must not depend
-   on how many domains execute it), rejection of zero-lookahead
-   configurations, and the P² streaming quantile estimator against exact
-   order statistics. *)
+(* Partitioned CHURN test layer: shard-count invariance of the
+   multi-partition workload (the digest and every rendered UNITES report
+   must not depend on how many domains execute it) across the admission,
+   steering, chaos and wire knobs, rejection of configurations the
+   workload cannot run, and the P² streaming quantile estimator against
+   exact order statistics. *)
 
 open Adaptive_sim
+open Adaptive_core
+open Adaptive_chaos
 open Adaptive_fleet
 open Adaptive_workloads
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The partitioned shape the scale experiments run: four partitions, one
+   churn round, P² quantiles. *)
+let partitioned ~sessions ~seed =
+  { (Churn.default_config ~sessions ~seed) with
+    Churn.partitions = 4;
+    churn_rounds = 1;
+    estimator = Stats.P2 }
+
+(* Run [cfg] at 1, 2 and 4 shards: combined digest, per-partition digests
+   and rendered UNITES reports must all be identical. *)
+let shard_invariant cfg =
+  let run shards = Churn.run { cfg with Churn.shards } in
+  let o1 = run 1 in
+  let reports1 = Churn.unites_reports o1 in
+  let same shards =
+    let o = run shards in
+    Int64.equal o1.Churn.digest o.Churn.digest
+    && o1.Churn.partition_digests = o.Churn.partition_digests
+    && reports1 = Churn.unites_reports o
+  in
+  same 2 && same 4
+
 (* ------------------------------------------------------------------ *)
 (* Shard-count invariance *)
 
-(* Random small configurations, each executed at 1, 2 and 4 shards.  The
-   partition count stays fixed across the three runs — it is part of the
-   workload — while the shard grouping varies; combined digest and the
-   per-partition UNITES reports must be byte-identical. *)
+(* Random small configurations over the single-pair workload's knobs —
+   admission thresholds, STEER, a bit-error burst (with the invariant
+   oracle), wire-true mode — at 2 to 5 partitions.  The partition count
+   stays fixed across the three runs; only the shard grouping varies.
+   Wire-true mode cannot carry cross-partition sessions, so a wire draw
+   turns cross traffic off. *)
 let prop_shard_parity =
   let gen =
     QCheck2.Gen.(
       let* seed = int_range 1 10_000 in
       let* sessions = int_range 80 200 in
       let* partitions = int_range 2 5 in
-      return (seed, sessions, partitions))
+      let* admission =
+        opt
+          (let* soft = int_range 5 40 in
+           let* extra = int_range 0 40 in
+           return
+             { Mantts.soft_sessions = soft; hard_sessions = soft + extra;
+               max_cpu_backlog = Time.ms 50 })
+      in
+      let* steer = bool in
+      let* burst =
+        opt
+          (let* start = int_range 100 900 in
+           let* duration = int_range 200 900 in
+           let* intensity = float_range 0.5 1.0 in
+           return
+             [ { Fault.cls = Fault.Ber_burst; start = Time.ms start;
+                 duration = Time.ms duration; target = 0; intensity } ])
+      in
+      let* wire = bool in
+      return (seed, sessions, partitions, admission, steer, burst, wire))
   in
   QCheck2.Test.make
-    ~name:"megaswarm digest and UNITES independent of shard count" ~count:3
-    ~print:(fun (seed, sessions, partitions) ->
-      Printf.sprintf "seed=%d sessions=%d partitions=%d" seed sessions
-        partitions)
+    ~name:"megaswarm digest and UNITES independent of shard count" ~count:4
+    ~print:(fun (seed, sessions, partitions, admission, steer, burst, wire) ->
+      Printf.sprintf
+        "seed=%d sessions=%d partitions=%d admission=%s steer=%b burst=%s \
+         wire=%b"
+        seed sessions partitions
+        (match admission with
+        | Some a ->
+          Printf.sprintf "%d/%d" a.Mantts.soft_sessions a.Mantts.hard_sessions
+        | None -> "none")
+        steer
+        (match burst with
+        | Some [ f ] ->
+          Printf.sprintf "%s+%s@%.2f" (Time.to_string f.Fault.start)
+            (Time.to_string f.Fault.duration) f.Fault.intensity
+        | Some _ | None -> "none")
+        wire)
     gen
-    (fun (seed, sessions, partitions) ->
-      let cfg =
-        { (Megaswarm.default_config ~sessions ~seed) with
-          Megaswarm.partitions;
-          churn_rounds = 1 }
-      in
-      let run shards = Megaswarm.run { cfg with Megaswarm.shards } in
-      let o1 = run 1 and o2 = run 2 and o4 = run 4 in
-      Int64.equal o1.Megaswarm.digest o2.Megaswarm.digest
-      && Int64.equal o1.Megaswarm.digest o4.Megaswarm.digest
-      && o1.Megaswarm.partition_digests = o2.Megaswarm.partition_digests
-      && o1.Megaswarm.unites_reports = o2.Megaswarm.unites_reports
-      && o1.Megaswarm.unites_reports = o4.Megaswarm.unites_reports)
+    (fun (seed, sessions, partitions, admission, steer, burst, wire) ->
+      shard_invariant
+        { (partitioned ~sessions ~seed) with
+          Churn.partitions;
+          admission;
+          steer = (if steer then Some Steer.default_policy else None);
+          chaos = burst;
+          check_invariants = burst <> None;
+          wire;
+          cross_share = (if wire then 0 else 16) })
 
 (* Heterogeneous per-pair lookahead: a positive wan_spread gives every
    ordered partition pair its own latency and hands SHARD the matching
    lookahead matrix, so the barrier runs per-destination run-ahead
    horizons instead of the global minimum.  The refinement must be
-   invisible in the results: digest, per-partition digests and rendered
-   UNITES reports byte-identical at 1, 2 and 4 shards. *)
+   invisible in the results. *)
 let prop_pair_lookahead_parity =
   let gen =
     QCheck2.Gen.(
@@ -68,41 +123,81 @@ let prop_pair_lookahead_parity =
         sessions partitions spread_ms)
     gen
     (fun (seed, sessions, partitions, spread_ms) ->
-      let cfg =
-        { (Megaswarm.default_config ~sessions ~seed) with
-          Megaswarm.partitions;
-          churn_rounds = 1;
-          wan_spread = Time.ms spread_ms }
-      in
-      let run shards = Megaswarm.run { cfg with Megaswarm.shards } in
-      let o1 = run 1 and o2 = run 2 and o4 = run 4 in
-      Int64.equal o1.Megaswarm.digest o2.Megaswarm.digest
-      && Int64.equal o1.Megaswarm.digest o4.Megaswarm.digest
-      && o1.Megaswarm.partition_digests = o2.Megaswarm.partition_digests
-      && o1.Megaswarm.unites_reports = o2.Megaswarm.unites_reports
-      && o1.Megaswarm.unites_reports = o4.Megaswarm.unites_reports)
+      shard_invariant
+        { (partitioned ~sessions ~seed) with
+          Churn.partitions;
+          wan_spread = Time.ms spread_ms })
 
-let test_megaswarm_deterministic () =
-  let cfg = Megaswarm.default_config ~sessions:150 ~seed:11 in
-  let o1 = Megaswarm.run cfg in
-  let o2 = Megaswarm.run cfg in
+let test_partitioned_deterministic () =
+  let cfg = partitioned ~sessions:150 ~seed:11 in
+  let o1 = Churn.run cfg in
+  let o2 = Churn.run cfg in
   check_bool "same seed, same digest" true
-    (Int64.equal o1.Megaswarm.digest o2.Megaswarm.digest);
-  check_int "all opens admitted without a policy" o1.Megaswarm.offered
-    o1.Megaswarm.admitted;
-  check_bool "cross-partition traffic flowed" true
-    (o1.Megaswarm.wan_exchanged > 0);
-  check_bool "cross sessions opened" true (o1.Megaswarm.cross_opened > 0);
+    (Int64.equal o1.Churn.digest o2.Churn.digest);
+  check_int "all opens admitted without a policy" o1.Churn.offered
+    o1.Churn.admitted;
+  check_bool "cross-partition traffic flowed" true (o1.Churn.wan_exchanged > 0);
+  check_bool "cross sessions opened" true (o1.Churn.cross_opened > 0);
   (* O(active) control plane: the monitor tick walks the monitored
      share, not the whole population, and the time-wait sweeper fires
      far fewer times than there are closed connections. *)
   check_bool "monitor tick working set stayed O(monitored)" true
-    (o1.Megaswarm.monitor_ticks = 0
-    || o1.Megaswarm.monitor_walked / o1.Megaswarm.monitor_ticks
-       <= o1.Megaswarm.admitted);
+    (o1.Churn.monitor_ticks = 0
+    || o1.Churn.monitor_walked / o1.Churn.monitor_ticks <= o1.Churn.admitted);
   check_bool "time-wait sweeps coalesced" true
-    (o1.Megaswarm.tw_expired = 0
-    || o1.Megaswarm.tw_sweeps < o1.Megaswarm.tw_expired)
+    (o1.Churn.tw_expired = 0 || o1.Churn.tw_sweeps < o1.Churn.tw_expired)
+
+(* ------------------------------------------------------------------ *)
+(* Configuration rejection *)
+
+(* Every configuration the workload cannot run is refused up front by
+   [validate] with a message that starts with the knob's name, and [run]
+   raises with the same message instead of failing somewhere inside the
+   stack. *)
+let test_validate_rejects () =
+  let base = Churn.default_config ~sessions:50 ~seed:3 in
+  let cases =
+    [
+      ("sessions", { base with Churn.sessions = 0 });
+      ("partitions", { base with Churn.partitions = 0 });
+      ("shards", { base with Churn.shards = 0 });
+      ("churn_rounds", { base with Churn.churn_rounds = -1 });
+      ("payload_bytes", { base with Churn.payload_bytes = 0 });
+      ("open_window", { base with Churn.open_window = Time.ms (-1) });
+      ("monitored_share", { base with Churn.monitored_share = -1 });
+      ("cross_share", { base with Churn.cross_share = -1 });
+      ("wan_latency", { base with Churn.wan_latency = Time.zero });
+      ("wan_spread", { base with Churn.wan_spread = Time.ms (-1) });
+      ("session_cap", { base with Churn.session_cap = Some 0 });
+      ("link_bps", { base with Churn.link_bps = 0.0 });
+      ("link_mtu", { base with Churn.link_mtu = 0 });
+      ("link_queue_pkts", { base with Churn.link_queue_pkts = 0 });
+      ("host_speed", { base with Churn.host_speed = -1.0 });
+      ("wire-true", { base with Churn.wire = true; partitions = 2 });
+    ]
+  in
+  List.iter
+    (fun (knob, cfg) ->
+      match Churn.validate cfg with
+      | Ok _ -> Alcotest.failf "%s: bad configuration accepted" knob
+      | Error msg ->
+        check_bool (knob ^ " named in the error") true
+          (String.starts_with ~prefix:knob msg);
+        Alcotest.check_raises (knob ^ ": run refuses it")
+          (Invalid_argument ("Churn.run: " ^ msg))
+          (fun () -> ignore (Churn.run cfg)))
+    cases;
+  (* The supported neighbours of the rejected cases pass. *)
+  List.iter
+    (fun cfg ->
+      check_bool "supported configuration accepted" true
+        (Result.is_ok (Churn.validate cfg)))
+    [
+      base;
+      { base with Churn.partitions = 3; shards = 5 };
+      { base with Churn.wire = true; partitions = 2; cross_share = 0 };
+      { base with Churn.churn_rounds = 0; open_window = Time.zero };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Zero-lookahead rejection *)
@@ -119,11 +214,10 @@ let test_zero_lookahead_rejected () =
       ignore
         (Shard.create ~lookahead:Time.zero ~partitions:2 ~run_to:dummy_run
            ~drain:dummy_drain ~inject:dummy_inject ()));
-  (* The same guard reaches megaswarm configs through wan_latency. *)
+  (* The same guard reaches churn configs through wan_latency. *)
   match
-    Megaswarm.run
-      { (Megaswarm.default_config ~sessions:50 ~seed:3) with
-        Megaswarm.wan_latency = Time.zero }
+    Churn.run
+      { (partitioned ~sessions:50 ~seed:3) with Churn.wan_latency = Time.zero }
   with
   | _ -> Alcotest.fail "zero wan_latency must not run"
   | exception Invalid_argument _ -> ()
@@ -158,25 +252,22 @@ let test_zero_pair_lookahead_rejected () =
    onto the per-event path.  shards = 1 so the per-domain GC counters
    see every event. *)
 let test_alloc_budget () =
-  let cfg =
-    { (Megaswarm.default_config ~sessions:2_000 ~seed:77) with
-      Megaswarm.partitions = 2 }
-  in
-  let o = Megaswarm.run cfg in
+  let cfg = { (partitioned ~sessions:2_000 ~seed:77) with Churn.partitions = 2 } in
+  let o = Churn.run cfg in
   let sim =
-    match List.assoc_opt "sim" o.Megaswarm.stage_minor_words with
+    match List.assoc_opt "sim" o.Churn.stage_minor_words with
     | Some w -> w
     | None -> Alcotest.fail "outcome is missing the sim stage sample"
   in
-  check_bool "events fired" true (o.Megaswarm.events_fired > 0);
-  let per_event = sim /. float_of_int o.Megaswarm.events_fired in
+  check_bool "events fired" true (o.Churn.events_fired > 0);
+  let per_event = sim /. float_of_int o.Churn.events_fired in
   if per_event > 180.0 then
     Alcotest.failf
       "hot path allocates %.0f minor words/event (ceiling 180); an \
        allocation crept back into the per-event path"
       per_event;
   check_bool "stage accounting covers the run" true
-    (List.map fst o.Megaswarm.stage_minor_words
+    (List.map fst o.Churn.stage_minor_words
     = [ "build"; "schedule"; "sim"; "reduce" ])
 
 (* ------------------------------------------------------------------ *)
@@ -261,8 +352,13 @@ let suite =
         [ prop_shard_parity; prop_pair_lookahead_parity ]
       @ [
           Alcotest.test_case "megaswarm is deterministic" `Quick
-            test_megaswarm_deterministic;
+            test_partitioned_deterministic;
         ] );
+    ( "churn.validate",
+      [
+        Alcotest.test_case "invalid configurations rejected" `Quick
+          test_validate_rejects;
+      ] );
     ( "megaswarm.lookahead",
       [
         Alcotest.test_case "zero lookahead rejected" `Quick

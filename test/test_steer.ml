@@ -23,8 +23,8 @@ let check_bool = Alcotest.(check bool)
    30 Mb/s link leaves congestion storms something to saturate. *)
 let steer_config ?steer ?chaos ~check_invariants ~sessions ~seed () =
   {
-    (Swarm.default_config ~sessions ~seed) with
-    Swarm.monitored_share = 0;
+    (Churn.default_config ~sessions ~seed) with
+    Churn.monitored_share = 0;
     churn_rounds = 1;
     payload_bytes = 12_000;
     link_bps = 30e6;
@@ -55,12 +55,12 @@ let prop_cooldown_respected =
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let o =
-        Swarm.run
+        Churn.run
           (steer_config ~steer:Steer.default_policy
              ~chaos:(schedule_of_seed seed) ~check_invariants:true ~sessions:40
              ~seed ())
       in
-      o.Swarm.violations = [])
+      o.Churn.violations = [])
 
 (* Property: the outcome's swap counters agree with the UNITES steer
    pseudo-session's monotone counters, are non-negative, and replay
@@ -74,23 +74,23 @@ let prop_counters_agree_and_replay =
         steer_config ~steer:Steer.default_policy ~chaos:(schedule_of_seed seed)
           ~check_invariants:false ~sessions:40 ~seed ()
       in
-      let o1 = Swarm.run (cfg ()) and o2 = Swarm.run (cfg ()) in
+      let o1 = Churn.run (cfg ()) and o2 = Churn.run (cfg ()) in
       let swaps, blocked =
-        match o1.Swarm.steer_stats with Some sb -> sb | None -> (-1, -1)
+        match o1.Churn.steer_stats with Some sb -> sb | None -> (-1, -1)
       in
       let u_swaps =
         int_of_float
-          (Unites.total o1.Swarm.unites ~session:Unites.steer_session
+          (Unites.total (List.hd o1.Churn.unites) ~session:Unites.steer_session
              Unites.Steer_swaps)
       in
       let u_blocked =
         int_of_float
-          (Unites.total o1.Swarm.unites ~session:Unites.steer_session
+          (Unites.total (List.hd o1.Churn.unites) ~session:Unites.steer_session
              Unites.Steer_blocked)
       in
       swaps >= 0 && blocked >= 0 && swaps = u_swaps && blocked = u_blocked
-      && o1.Swarm.steer_stats = o2.Swarm.steer_stats
-      && o1.Swarm.digest = o2.Swarm.digest)
+      && o1.Churn.steer_stats = o2.Churn.steer_stats
+      && o1.Churn.digest = o2.Churn.digest)
 
 (* Property: a policy whose thresholds are all infinite can never fire,
    so the steered run is observationally identical — same trace digest,
@@ -103,16 +103,16 @@ let prop_infinite_policy_is_noop =
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
       let run steer =
-        Swarm.run
+        Churn.run
           (steer_config ?steer ~chaos:(schedule_of_seed seed)
              ~check_invariants:false ~sessions:40 ~seed ())
       in
       let steered = run (Some Steer.infinite) and plain = run None in
-      (match steered.Swarm.steer_stats with
+      (match steered.Churn.steer_stats with
       | Some (0, _) -> true
       | Some _ | None -> false)
-      && steered.Swarm.digest = plain.Swarm.digest
-      && steered.Swarm.delivered_bytes = plain.Swarm.delivered_bytes)
+      && steered.Churn.digest = plain.Churn.digest
+      && steered.Churn.delivered_bytes = plain.Churn.delivered_bytes)
 
 (* --------------------------------------------------- differential test *)
 
@@ -174,34 +174,34 @@ let test_differential_goodput () =
       (steer_config ?steer ~chaos:diff_backdrop ~check_invariants:false
          ~sessions:200 ~seed ())
       with
-      Swarm.churn_rounds = 2;
+      Churn.churn_rounds = 2;
       scs_transform;
     }
   in
-  let steered = Swarm.run (base ~steer:Steer.default_policy ()) in
+  let steered = Churn.run (base ~steer:Steer.default_policy ()) in
   let statics =
     List.map
-      (fun (name, pin) -> (name, Swarm.run (base ~scs_transform:pin ())))
+      (fun (name, pin) -> (name, Churn.run (base ~scs_transform:pin ())))
       [ ("gbn", pin_gbn); ("sr", pin_sr) ]
   in
-  (match steered.Swarm.steer_stats with
+  (match steered.Churn.steer_stats with
   | Some (swaps, _) -> check_bool "steering fired" true (swaps > 0)
   | None -> Alcotest.fail "steered run lost its steer stats");
   let best_name, best =
     List.fold_left
       (fun (bn, b) (n, o) ->
-        if o.Swarm.goodput_bytes > b.Swarm.goodput_bytes then (n, o) else (bn, b))
+        if o.Churn.goodput_bytes > b.Churn.goodput_bytes then (n, o) else (bn, b))
       (List.hd statics) (List.tl statics)
   in
   let floor_bytes =
-    int_of_float (diff_tolerance *. float_of_int best.Swarm.goodput_bytes)
+    int_of_float (diff_tolerance *. float_of_int best.Churn.goodput_bytes)
   in
-  if steered.Swarm.goodput_bytes < floor_bytes then
+  if steered.Churn.goodput_bytes < floor_bytes then
     Alcotest.failf
       "steered goodput %d under burst loss fell below %.2f x best static \
        (static-%s at %d)"
-      steered.Swarm.goodput_bytes diff_tolerance best_name
-      best.Swarm.goodput_bytes
+      steered.Churn.goodput_bytes diff_tolerance best_name
+      best.Churn.goodput_bytes
 
 (* ------------------------------------- Session.reconfigure error paths *)
 

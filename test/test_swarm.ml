@@ -432,15 +432,42 @@ let test_differential_vs_baselines () =
 (* Swarm workload determinism (fast case; the bench does the full scale) *)
 
 let test_swarm_deterministic () =
-  let cfg = Adaptive_workloads.Swarm.default_config ~sessions:120 ~seed:5 in
-  let o1 = Adaptive_workloads.Swarm.run cfg in
-  let o2 = Adaptive_workloads.Swarm.run cfg in
+  let cfg = Churn.default_config ~sessions:120 ~seed:5 in
+  let o1 = Churn.run cfg in
+  let o2 = Churn.run cfg in
   check_bool "same seed, same digest" true
-    (o1.Adaptive_workloads.Swarm.digest = o2.Adaptive_workloads.Swarm.digest);
+    (o1.Churn.digest = o2.Churn.digest);
   check_int "all offered opens admitted without a policy"
-    o1.Adaptive_workloads.Swarm.offered o1.Adaptive_workloads.Swarm.admitted;
+    o1.Churn.offered o1.Churn.admitted;
   check_bool "demux stayed O(1) on average" true
-    (o1.Adaptive_workloads.Swarm.demux_probes_mean < 2.0)
+    (o1.Churn.demux_probes_mean < 2.0)
+
+(* A bit-error burst corrupts Fin_acks in wire-true mode, so clients
+   retry their Fin after the server side has entered time-wait, and the
+   server's dispatcher re-answers from the quarantine.  Those replies
+   must be sized by their encoding like every other injection, or the
+   wire hook refuses the frame. *)
+let test_wire_timewait_reanswer () =
+  let burst =
+    [ { Adaptive_chaos.Fault.cls = Adaptive_chaos.Fault.Ber_burst;
+        start = Time.ms 150; duration = Time.ms 900; target = 0;
+        intensity = 0.8 } ]
+  in
+  let o =
+    Churn.run
+      { (Churn.default_config ~sessions:6 ~seed:29) with
+        Churn.churn_rounds = 1;
+        monitored_share = 0;
+        payload_bytes = 12_000;
+        link_bps = 30e6;
+        link_mtu = 1500;
+        chaos = Some burst;
+        wire = true }
+  in
+  check_int "every open closed" o.Churn.admitted o.Churn.closed;
+  match o.Churn.wire_report with
+  | Some w -> check_bool "the burst corrupted frames" true (w.Session.Wire.rejects > 0)
+  | None -> Alcotest.fail "wire-true run produced no wire report"
 
 let suite =
   [
@@ -464,5 +491,7 @@ let suite =
       [
         Alcotest.test_case "swarm workload is deterministic" `Quick
           test_swarm_deterministic;
+        Alcotest.test_case "wire-true churn re-answers retried Fins" `Quick
+          test_wire_timewait_reanswer;
       ] );
   ]
