@@ -44,7 +44,9 @@ type t = {
   streams : (int, stream) Hashtbl.t;
   delivered : (string, int ref) Hashtbl.t;  (* per-label delivery counts *)
   mutable tracked : (string * Session.t) list;  (* insertion order *)
-  prev_totals : (int * Unites.metric, float) Hashtbl.t;
+  (* Last swept total per UNITES cell (one-element arrays: unboxed store);
+     an absent cell was never written, so its last total is 0. *)
+  prev_totals : (int, float array) Hashtbl.t;
   mutable adaptations_seen : int;
   last_switch : (int, Time.t) Hashtbl.t;
   mutable heal_seen : Time.t;
@@ -191,36 +193,37 @@ let track_sender t ~label sender = t.tracked <- t.tracked @ [ (label, sender) ]
 (* ------------------------------------------------------------------ *)
 (* Periodic sweep *)
 
-let check_monotone t =
-  List.iter
-    (fun (id, _) ->
-      if id >= 1 then
-        List.iter
-          (fun m ->
-            let total = Unites.total t.unites ~session:id m in
-            let key = (id, m) in
-            (match Hashtbl.find_opt t.prev_totals key with
-            | Some prev when total < prev -.  1e-9 ->
-              record t
-                ~label:(Printf.sprintf "session-%d" id)
-                ~kind:Counter_regression
-                ~detail:
-                  (Printf.sprintf "%s fell from %.0f to %.0f"
-                     (Unites.metric_name m) prev total)
-            | Some _ | None -> ());
-            Hashtbl.replace t.prev_totals key total)
-          monotone_metrics)
-    (Unites.sessions t.unites)
+(* A total changes only when UNITES records into its cell, so checking
+   the cells journalled since the last sweep flags every fall a walk over
+   all sessions would, at O(writes) instead of O(sessions ever seen). *)
+let check_cell t ~cell ~session m total =
+  if session >= 1 then begin
+    let prev =
+      match Hashtbl.find t.prev_totals cell with
+      | prev -> prev
+      | exception Not_found ->
+        let prev = [| 0.0 |] in
+        Hashtbl.add t.prev_totals cell prev;
+        prev
+    in
+    if total < prev.(0) -. 1e-9 then
+      record t
+        ~label:(Printf.sprintf "session-%d" session)
+        ~kind:Counter_regression
+        ~detail:
+          (Printf.sprintf "%s fell from %.0f to %.0f" (Unites.metric_name m)
+             prev.(0) total);
+    prev.(0) <- total
+  end
+
+let check_monotone t = Unites.journal_drain t.unites (check_cell t)
 
 let check_policy t =
   match t.mantts with
   | None -> ()
   | Some mantts ->
-    let entries = Mantts.adaptations mantts in
-    let fresh =
-      List.filteri (fun i _ -> i >= t.adaptations_seen) entries
-    in
-    t.adaptations_seen <- List.length entries;
+    let fresh = Mantts.adaptations_since mantts t.adaptations_seen in
+    t.adaptations_seen <- t.adaptations_seen + List.length fresh;
     List.iter
       (fun (at, session, desc) ->
         if String.length desc >= 7 && String.sub desc 0 7 = "switch " then begin
@@ -307,6 +310,7 @@ let start t =
   match t.sweep with
   | Some _ -> ()
   | None ->
+    Unites.journal_start t.unites monotone_metrics;
     t.sweep <-
       Some (Engine.Timer.periodic t.engine ~interval:(Time.ms 100) (sweep_tick t))
 
@@ -335,9 +339,10 @@ let finish t =
   (match t.sweep with
   | Some timer ->
     Engine.Timer.cancel timer;
-    t.sweep <- None
+    t.sweep <- None;
+    check_monotone t;
+    Unites.journal_stop t.unites
   | None -> ());
-  check_monotone t;
   check_policy t;
   check_liveness ~final:true t;
   check_throughput t

@@ -92,10 +92,17 @@ val observe :
 
 val start : t -> unit
 (** Begin the periodic (100 ms) monitor sweep: counter monotonicity,
-    policy-flap scan and liveness evaluation. *)
+    policy-flap scan and liveness evaluation.  Also turns on the UNITES
+    write journal ({!Unites.journal_start}) for the monotone counters, so
+    each sweep checks only the cells written since the previous one; a
+    checker that is never started keeps no journal.  One started checker
+    per UNITES repository. *)
 
 val finish : t -> unit
-(** Stop the sweep and run end-of-run oracles (throughput bound). *)
+(** Stop the sweep and run the final checks: counter monotonicity over
+    the journal (which is then turned off), the policy-flap scan,
+    liveness (where a suspect still silent is a {!Liveness_stall}) and
+    the throughput bound. *)
 
 val inject_violation : t -> detail:string -> unit
 (** Plant an {!Injected_sabotage} violation — used to prove the soak

@@ -75,6 +75,7 @@ type t = {
   mutable mon_dead : int;
   mutable sync_groups : int list list; (* session-id groups to keep aligned *)
   mutable adaptation_log : (Time.t * int * string) list; (* newest first *)
+  mutable adaptation_count : int; (* length of [adaptation_log] *)
   (* All policy monitors share one tick timer, armed only while monitors
      exist: 10k short-lived sessions schedule no monitor events at all,
      and long-lived ones cost one engine event per interval total. *)
@@ -135,6 +136,7 @@ let create ~net ~unites ~rng () =
     mon_dead = 0;
     sync_groups = [];
     adaptation_log = [];
+    adaptation_count = 0;
     monitor_timer = None;
     monitor_armed = false;
     tick_rounds = 0;
@@ -669,7 +671,8 @@ let rec condition_holds t mon = function
 
 let log_adaptation t session text =
   t.adaptation_log <-
-    (Engine.now t.t_engine, Session.id session, text) :: t.adaptation_log
+    (Engine.now t.t_engine, Session.id session, text) :: t.adaptation_log;
+  t.adaptation_count <- t.adaptation_count + 1
 
 let apply_action t mon on_notify action =
   let session = mon.m_session in
@@ -990,6 +993,16 @@ let synchronize t sessions =
   align_sync_groups t
 
 let adaptations t = List.rev t.adaptation_log
+
+(* The [count - seen] newest entries are the head of the newest-first
+   log; reversing just that prefix yields them oldest first. *)
+let adaptations_since t seen =
+  let rec take n log acc =
+    match log with
+    | entry :: older when n > 0 -> take (n - 1) older (entry :: acc)
+    | _ -> acc
+  in
+  take (t.adaptation_count - seen) t.adaptation_log []
 
 (* External steering engines share the per-session anti-flapping clock
    with the built-in monitor: both read and advance [m_last_change], so

@@ -170,6 +170,12 @@ val adaptations : t -> (Time.t * int * string) list
 (** Every reconfiguration the policy monitors applied: time, session id,
     human-readable description — oldest first. *)
 
+val adaptations_since : t -> int -> (Time.t * int * string) list
+(** [adaptations_since t n] is the {!adaptations} log without its first
+    [n] entries, oldest first, in time proportional to the entries
+    returned: a consumer that advances [n] by the length of each result
+    reads only what is new. *)
+
 val last_reconfigured : t -> Session.t -> Time.t option
 (** When a policy actor — the built-in monitor or an external steering
     engine — last applied a component switch to this session

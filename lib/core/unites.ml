@@ -238,6 +238,11 @@ type t = {
   mutable sched_fired_seen : int;
   mutable sched_rearmed_seen : int;
   mutable trace : Trace.t option;
+  (* Write journal: packed keys of recorded cells whose metric bit is set
+     in [journal_mask] (0 = journalling off), in write order. *)
+  mutable journal_mask : int;
+  mutable journal : int array;
+  mutable journal_len : int;
 }
 
 (* Scheduler observations live under a reserved pseudo-session: real
@@ -285,6 +290,9 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     sched_fired_seen = 0;
     sched_rearmed_seen = 0;
     trace = None;
+    journal_mask = 0;
+    journal = [||];
+    journal_len = 0;
   }
 
 let set_session_cap t n = t.session_cap <- max 1 n
@@ -377,10 +385,21 @@ let wanted t session mi =
   | mask -> mask land (1 lsl mi) <> 0
   | exception Not_found -> true
 
+let journal_push t k =
+  if t.journal_len = Array.length t.journal then begin
+    let grown = Array.make (max 256 (2 * t.journal_len)) 0 in
+    Array.blit t.journal 0 grown 0 t.journal_len;
+    t.journal <- grown
+  end;
+  Array.unsafe_set t.journal t.journal_len k;
+  t.journal_len <- t.journal_len + 1
+
+(* The only place a total changes, so the journal sees every change. *)
 let record t session mi v =
   let k = key session mi in
   Stats.add (accumulator t k) v;
-  record_bucket t k v
+  record_bucket t k v;
+  if t.journal_mask land (1 lsl mi) <> 0 then journal_push t k
 
 let observe t ~session m v =
   let mi = metric_index m in
@@ -405,6 +424,34 @@ let total t ~session m =
   match Hashtbl.find t.table (key session (metric_index m)) with
   | s -> Stats.total s
   | exception Not_found -> 0.0
+
+let metric_of_index = Array.of_list all_metrics
+
+let journal_start t metrics =
+  let mask = mask_of metrics in
+  t.journal_mask <- mask;
+  t.journal_len <- 0;
+  (* Cells that already hold a total enter once, so the first drain sees
+     them as a full walk would. *)
+  Hashtbl.iter
+    (fun k _ -> if mask land (1 lsl key_metric k) <> 0 then journal_push t k)
+    t.table
+
+let journal_stop t =
+  t.journal_mask <- 0;
+  t.journal <- [||];
+  t.journal_len <- 0
+
+let journal_drain t f =
+  let i = ref 0 in
+  while !i < t.journal_len do
+    let k = Array.unsafe_get t.journal !i in
+    f ~cell:k ~session:(k asr 6)
+      (Array.unsafe_get metric_of_index (key_metric k))
+      (Stats.total (Hashtbl.find t.table k));
+    incr i
+  done;
+  t.journal_len <- 0
 
 let mean t ~session m =
   match Hashtbl.find t.table (key session (metric_index m)) with

@@ -152,6 +152,28 @@ val total : t -> session:int -> metric -> float
 val mean : t -> session:int -> metric -> float
 (** Mean of a session's observations ([nan] when none). *)
 
+(** {2 Write journal}
+
+    A repository can journal the cells it writes, so a consumer that
+    audits totals (the chaos invariant checker) visits only the cells
+    changed since it last looked instead of every session.  One journal
+    per repository; it costs one bit test per observation while off. *)
+
+val journal_start : t -> metric list -> unit
+(** Empty the journal, enter once every cell that already holds an
+    observation of one of [metrics], and from now on append every
+    further observation of one of them (replacing any earlier set). *)
+
+val journal_stop : t -> unit
+(** Stop journalling and release the journal's storage. *)
+
+val journal_drain :
+  t -> (cell:int -> session:int -> metric -> float -> unit) -> unit
+(** [journal_drain t f] calls [f ~cell ~session m total] for every
+    journalled write, in write order, then empties the journal.  [cell]
+    is an int naming the (session, metric) pair; [total] is the cell's
+    current sum.  A cell written n times is reported n times. *)
+
 val aggregate : t -> metric -> Stats.summary option
 (** System-wide summary across sessions. *)
 

@@ -117,6 +117,108 @@ let test_oracle_undetected_corruption () =
   check_int "damage without detection configured is allowed" 0
     (List.length (Invariant.violations c2))
 
+(* ------------------------------------------------------------ sweep *)
+
+(* The 100 ms sweep audits UNITES counters and the MANTTS switch log.
+   Engine events plant the faults between the sweeps at 100 and 200 ms. *)
+
+let at engine ms f = ignore (Engine.schedule engine ~at:(Time.ms ms) f)
+
+let test_sweep_counter_regression () =
+  let engine = Engine.create () in
+  let unites = Unites.create engine in
+  Unites.register_session unites ~id:7 ~name:"bulk";
+  let deliver bytes () =
+    Unites.observe unites ~session:7 Unites.Bytes_delivered bytes
+  in
+  (* The first total predates the checker; its fall must still count. *)
+  deliver 1000.0 ();
+  let c = Invariant.create ~engine ~unites () in
+  Invariant.start c;
+  at engine 150 (deliver (-400.0));
+  Engine.run engine ~until:(Time.ms 350);
+  Invariant.finish c;
+  match Invariant.violations c with
+  | [ v ] ->
+    check_bool "counter regression" true (v.Invariant.kind = Invariant.Counter_regression);
+    Alcotest.(check string) "label" "session-7" v.Invariant.label;
+    check_bool "flagged at the next sweep" true (v.Invariant.at = Time.ms 200)
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+let test_sweep_policy_flapping () =
+  let open Adaptive_net in
+  let stack = Adaptive.create_stack ~seed:3 () in
+  let a = Adaptive.add_host stack "a" in
+  let b = Adaptive.add_host stack "b" in
+  Adaptive.connect_hosts stack a b (Profiles.lan_path ());
+  let mantts = stack.Adaptive.mantts in
+  let s =
+    Session.connect (Mantts.dispatcher (Mantts.entity mantts a)) ~peers:[ b ]
+      ~scs:Scs.default ()
+  in
+  let engine = stack.Adaptive.engine in
+  let c = Invariant.create ~engine ~unites:stack.Adaptive.unites ~mantts () in
+  Invariant.start c;
+  at engine 150 (fun () -> Mantts.note_switch mantts s "switch recovery gbn->sr");
+  at engine 250 (fun () -> Mantts.note_switch mantts s "switch recovery sr->gbn");
+  Engine.run engine ~until:(Time.ms 400);
+  Invariant.finish c;
+  match
+    List.filter
+      (fun v -> v.Invariant.kind = Invariant.Policy_flapping)
+      (Invariant.violations c)
+  with
+  | [ v ] ->
+    Alcotest.(check string) "label"
+      (Printf.sprintf "session-%d" (Session.id s))
+      v.Invariant.label
+  | vs -> Alcotest.failf "expected one flapping violation, got %d" (List.length vs)
+
+(* Guard for the O(writes) sweep: 5,000 idle sessions written before the
+   checker starts must cost every sweep after the first nothing.  100
+   such sweeps allocate ~900 words against a 40,000-word ceiling; a
+   sweep that walks every registered session allocates ~85 words per
+   session per sweep, about 43M words here. *)
+let test_sweep_ignores_idle_sessions () =
+  let engine = Engine.create () in
+  let unites = Unites.create engine in
+  let idle = 5_000 in
+  for id = 1 to idle do
+    Unites.register_session unites ~id ~name:"idle";
+    List.iter
+      (fun m -> Unites.count unites ~session:id m)
+      [ Unites.Segments_sent; Unites.Segments_delivered; Unites.Acks_sent ]
+  done;
+  let active = idle + 1 in
+  Unites.register_session unites ~id:active ~name:"active";
+  let journalled () =
+    let n = ref 0 in
+    Unites.journal_drain unites (fun ~cell:_ ~session:_ _ _ -> incr n);
+    !n
+  in
+  let c = Invariant.create ~engine ~unites () in
+  Unites.count unites ~session:active Unites.Segments_sent;
+  check_int "an unstarted checker journals nothing" 0 (journalled ());
+  Invariant.start c;
+  (* The first sweep takes in the cells written before the start. *)
+  Engine.run engine ~until:(Time.ms 100);
+  for k = 1 to 100 do
+    at engine ((100 * k) + 50) (fun () ->
+        Unites.count unites ~session:active Unites.Segments_sent)
+  done;
+  let before = Gc.minor_words () in
+  Engine.run engine ~until:(Time.ms 10_100);
+  let words = Gc.minor_words () -. before in
+  Invariant.finish c;
+  check_int "no violations" 0 (List.length (Invariant.violations c));
+  if words > 40_000.0 then
+    Alcotest.failf
+      "100 sweeps over %d idle sessions allocated %.0f minor words \
+       (ceiling 40000): the sweep walks idle sessions again"
+      idle words;
+  Unites.count unites ~session:active Unites.Segments_sent;
+  check_int "a finished checker journals nothing" 0 (journalled ())
+
 (* --------------------------------------------------------- liveness *)
 
 (* A two-host stack over one slow link: a single Link_down fault heals,
@@ -314,6 +416,15 @@ let suite =
           test_oracle_unreliable_gaps_allowed;
         Alcotest.test_case "undetected corruption" `Quick
           test_oracle_undetected_corruption;
+      ] );
+    ( "chaos.sweep",
+      [
+        Alcotest.test_case "a falling counter is flagged at the next sweep"
+          `Quick test_sweep_counter_regression;
+        Alcotest.test_case "switches 100 ms apart are flapping" `Quick
+          test_sweep_policy_flapping;
+        Alcotest.test_case "idle sessions cost the sweep nothing" `Quick
+          test_sweep_ignores_idle_sessions;
       ] );
     ( "chaos.liveness",
       [
