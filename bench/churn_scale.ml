@@ -19,8 +19,10 @@
    (monitor ticks and monitors walked, coalesced time-wait sweeps, demux
    probes).  Allocation is staged (build / schedule / sim / reduce), so
    the headline words-per-event figure is the sim stage — the event hot
-   path — asserted under a ceiling here and by a tier-1 guard test.  The
-   10k configuration runs at --shards 1 and 4 (2 in smoke): digest and
+   path — asserted under a ceiling here and by a tier-1 guard test.
+   Rendering the UNITES reports is a stage of its own (wall seconds,
+   minor words, words per line), held under a words-per-line ceiling the
+   same way.  The 10k configuration runs at --shards 1 and 4 (2 in smoke): digest and
    every rendered per-partition UNITES report must be byte-identical.
 
    e15 pushes the e13 workload through scale decades up to one million
@@ -43,17 +45,41 @@ let smoke = ref false
 
 let pf = Format.printf
 
+(* The render stage: every partition's UNITES report, timed apart from
+   the run. *)
+type render = {
+  render_s : float;
+  render_words : float;  (* minor words *)
+  render_lines : int;
+}
+
 type scale_result = {
   sessions : int;
   shards : int;
   outcome : Churn.outcome;
   reports : string list;  (* rendered UNITES reports (e13/e15 only) *)
+  render : render;  (* zero when the reports are not rendered *)
   elapsed_s : float;
   gc : Util.gc_sample;
   minor_words_per_event : float;  (* sim stage, coordinating domain *)
   total_minor_words_per_event : float;  (* whole run incl. setup/reduce *)
   heap_words_live : int;  (* live major words after a forced full cycle *)
 }
+
+let render_reports outcome =
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let reports = Churn.unites_reports outcome in
+  let render_s = Unix.gettimeofday () -. t0 in
+  let render_words = Gc.minor_words () -. w0 in
+  let render_lines =
+    List.fold_left
+      (fun acc r -> String.fold_left (fun n c -> if c = '\n' then n + 1 else n) acc r)
+      0 reports
+  in
+  (reports, { render_s; render_words; render_lines })
+
+let words_per_line r =
+  if r.render_lines = 0 then 0.0 else r.render_words /. float_of_int r.render_lines
 
 let run_scale ?(reports = false) cfg =
   (* Level the field between measurements: without this, a run scheduled
@@ -64,9 +90,9 @@ let run_scale ?(reports = false) cfg =
   (* The partitioned experiments keep the rendered reports (their parity
      witness) and let the repositories go: a decade's metric tables would
      otherwise dominate its live-heap measurement. *)
-  let reports, outcome =
-    if reports then (Churn.unites_reports outcome, { outcome with Churn.unites = [] })
-    else ([], outcome)
+  let (reports, render), outcome =
+    if reports then (render_reports outcome, { outcome with Churn.unites = [] })
+    else (([], { render_s = 0.0; render_words = 0.0; render_lines = 0 }), outcome)
   in
   let per_event w =
     if outcome.Churn.events_fired > 0 then w /. float_of_int outcome.Churn.events_fired
@@ -78,6 +104,7 @@ let run_scale ?(reports = false) cfg =
     shards = cfg.Churn.shards;
     outcome;
     reports;
+    render;
     elapsed_s = gc.Util.gs_wall_s;
     gc;
     minor_words_per_event =
@@ -294,7 +321,10 @@ let report_scale r =
     r.sessions r.shards (events_per_sec r) r.elapsed_s
     (per o.Churn.monitor_ticks o.Churn.monitor_walked)
     (per o.Churn.tw_sweeps o.Churn.tw_expired)
-    o.Churn.demux_probes_mean r.minor_words_per_event
+    o.Churn.demux_probes_mean r.minor_words_per_event;
+  if r.render.render_lines > 0 then
+    pf "           render: %d lines in %.3f s, %.0f words/line@."
+      r.render.render_lines r.render.render_s (words_per_line r.render)
 
 let json_scale buf r =
   let o = r.outcome in
@@ -308,6 +338,8 @@ let json_scale buf r =
       "minor_words_per_event": %.1f,
       "total_minor_words_per_event": %.1f,
       "stage_minor_words": { %s },
+      "render": { "wall_s": %.6f, "minor_words": %.0f, "lines": %d,
+        "words_per_line": %.1f },
       |}
     r.sessions r.shards r.elapsed_s o.Churn.events_fired (events_per_sec r)
     o.Churn.monitor_ticks o.Churn.monitor_walked
@@ -319,7 +351,9 @@ let json_scale buf r =
     (String.concat ", "
        (List.map
           (fun (name, w) -> Printf.sprintf {|"%s": %.0f|} name w)
-          o.Churn.stage_minor_words));
+          o.Churn.stage_minor_words))
+    r.render.render_s r.render.render_words r.render.render_lines
+    (words_per_line r.render);
   Util.json_gc buf r.gc;
   Printf.bprintf buf
     {|,
@@ -359,6 +393,10 @@ let write_bench_json () =
   pf "  wrote BENCH_megaswarm.json@."
 
 let alloc_ceiling_words_per_event = 150.0
+
+(* Minor words per rendered UNITES report line; the tier-1 test
+   unites.report_alloc holds the library to the same ceiling. *)
+let render_ceiling_words_per_line = 150.0
 
 (* ------------------------------------------------------------- e13 *)
 
@@ -428,6 +466,16 @@ let e13_megaswarm_scale () =
        ten_k.minor_words_per_event alloc_ceiling_words_per_event)
     (ten_k.minor_words_per_event <= alloc_ceiling_words_per_event);
 
+  let render_ok =
+    List.for_all (fun r -> words_per_line r.render <= render_ceiling_words_per_line) results
+  in
+  Util.shape_check
+    (Printf.sprintf
+       "report rendering under %.0f words/line at every scale (%.0f at %d \
+        sessions)"
+       render_ceiling_words_per_line (words_per_line last.render) last.sessions)
+    render_ok;
+
   (* Shard parity at the pinned scale. *)
   let sharded =
     run_scale ~reports:true
@@ -471,7 +519,7 @@ let e13_megaswarm_scale () =
   write_bench_json ();
   if
     not
-      (digests_match && unites_identical
+      (digests_match && unites_identical && render_ok
       && ten_k.minor_words_per_event <= alloc_ceiling_words_per_event)
   then exit 1
 

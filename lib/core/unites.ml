@@ -469,8 +469,20 @@ let aggregate_acc t m =
 
 let aggregate t m = Option.map Stats.summarize (aggregate_acc t m)
 
+(* The total [aggregate_acc] would carry, without building it: the same
+   cells in the same table order, summed as [Stats.merge] sums them —
+   the first cell's total as is, then [acc +. total] per further cell. *)
 let aggregate_total t m =
-  match aggregate_acc t m with Some s -> Stats.total s | None -> 0.0
+  let mi = metric_index m in
+  let sum = ref 0.0 and seen = ref false in
+  Hashtbl.iter
+    (fun k s ->
+      if key_metric k = mi then begin
+        sum := if !seen then !sum +. Stats.total s else Stats.total s;
+        seen := true
+      end)
+    t.table;
+  !sum
 
 let sessions t =
   Hashtbl.fold (fun id name acc -> (id, name) :: acc) t.names []
@@ -527,30 +539,76 @@ let aggregate_series t m =
   Hashtbl.fold (fun slot v acc -> (slot * t.bucket, v) :: acc) merged []
   |> List.sort compare
 
+(* The fixed head of each metric's report line. *)
+let line_head =
+  Array.of_list
+    (List.map
+       (fun m ->
+         Printf.sprintf "  %-20s [%s] " (metric_name m)
+           (match metric_kind m with Blackbox -> "bb" | Whitebox -> "wb"))
+       all_metrics)
+
+let sorted_keys tbl =
+  let a = Array.make (Hashtbl.length tbl) 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun k _ ->
+      a.(!i) <- k;
+      incr i)
+    tbl;
+  Array.sort Int.compare a;
+  a
+
 let report fmt t =
   (* Fold the engine's current scheduler counters in so the report always
      shows scheduler overhead next to the transport metrics. *)
   sample_scheduler t;
-  Format.fprintf fmt "@[<v>UNITES metric repository (t=%a, whitebox=%b)@,"
-    Time.pp (Engine.now t.engine) t.whitebox;
-  List.iter
-    (fun (id, name) ->
-      Format.fprintf fmt "session %d (%s):@," id name;
-      List.iter
-        (fun m ->
-          match stats t ~session:id m with
-          | None -> ()
-          | Some s ->
-            Format.fprintf fmt "  %-20s [%s] %a@," (metric_name m)
-              (match metric_kind m with Blackbox -> "bb" | Whitebox -> "wb")
-              Stats.pp_summary s)
-        all_metrics)
-    (sessions t);
+  (* Named sessions in id order, and cell keys in (session, metric
+     index) order: a session's lines are a run of [keys], so each
+     rendered metric costs one lookup. *)
+  let ids = sorted_keys t.names and keys = sorted_keys t.table in
+  let cells = Array.length keys in
+  (* One session's block at a time goes to [fmt], so the whole report is
+     never held twice.  The block's last newline is a Format newline: it
+     leaves the formatter at the start of a line, where it expects the
+     next block, and a block printed at its full width is written out at
+     once rather than queued until the caller flushes. *)
+  let b = Buffer.create 4096 in
+  let flush () =
+    if Buffer.length b > 0 then begin
+      Format.pp_print_string fmt (Buffer.sub b 0 (Buffer.length b - 1));
+      Format.pp_force_newline fmt ();
+      Buffer.clear b
+    end
+  in
+  Printf.bprintf b "UNITES metric repository (t=%s, whitebox=%b)\n"
+    (Time.to_string (Engine.now t.engine)) t.whitebox;
+  let next = ref 0 in
+  Array.iter
+    (fun id ->
+      (* Cells of sessions never named are not reported. *)
+      while !next < cells && keys.(!next) asr 6 < id do
+        incr next
+      done;
+      Buffer.add_string b "session ";
+      Buffer.add_string b (string_of_int id);
+      Buffer.add_string b " (";
+      Buffer.add_string b (Hashtbl.find t.names id);
+      Buffer.add_string b "):\n";
+      while !next < cells && keys.(!next) asr 6 = id do
+        let k = keys.(!next) in
+        Buffer.add_string b line_head.(key_metric k);
+        Stats.add_summary b (Stats.summarize (Hashtbl.find t.table k));
+        Buffer.add_char b '\n';
+        incr next
+      done;
+      flush ())
+    ids;
   (match t.trace with
   | None -> ()
   | Some trace ->
-    Format.fprintf fmt "trace (dropped log entries: %d):@," (Trace.dropped trace);
+    Printf.bprintf b "trace (dropped log entries: %d):\n" (Trace.dropped trace);
     List.iter
-      (fun (name, n) -> Format.fprintf fmt "  %-28s %d@," name n)
+      (fun (name, n) -> Printf.bprintf b "  %-28s %d\n" name n)
       (Trace.counters trace));
-  Format.fprintf fmt "@]"
+  flush ()

@@ -178,7 +178,8 @@ val aggregate : t -> metric -> Stats.summary option
 (** System-wide summary across sessions. *)
 
 val aggregate_total : t -> metric -> float
-(** System-wide sum. *)
+(** System-wide sum: the cells' totals added in table order, bit-identical
+    to the total of the {!aggregate} accumulator without building it. *)
 
 val sessions : t -> (int * string) list
 (** Registered sessions in id order. *)
@@ -248,4 +249,11 @@ val aggregate_series : t -> metric -> (Time.t * float) list
 (** Bucketed totals across every session. *)
 
 val report : Format.formatter -> t -> unit
-(** Per-session presentation of all collected metrics. *)
+(** Per-session presentation of all collected metrics: a header line,
+    then per session in id order a [session <id> (<name>):] line and one
+    line per metric it holds ([n], mean, sd, min, p50, p95, p99, max),
+    then the attached trace's counters.  Every line, the last included,
+    ends in a newline, and none is indented by the formatter: the report
+    starts at the formatter's current position, so print it at the
+    start of a line (every caller in this repository does).  Sessions
+    are rendered one at a time, each handed to the formatter whole. *)

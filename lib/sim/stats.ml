@@ -169,8 +169,8 @@ let stddev t = sqrt (variance t)
 let min_value t = if t.n = 0 then nan else t.q.(q_mn)
 let max_value t = if t.n = 0 then nan else t.q.(q_mx)
 
-let sorted_quantile xs q =
-  Array.sort Float.compare xs;
+(* Linear interpolation at [q] in an ascending sample. *)
+let interp_sorted xs q =
   let q = Float.max 0.0 (Float.min 1.0 q) in
   let pos = q *. float_of_int (Array.length xs - 1) in
   let lo = int_of_float (Float.floor pos) in
@@ -180,41 +180,53 @@ let sorted_quantile xs q =
     let w = pos -. float_of_int lo in
     (xs.(lo) *. (1.0 -. w)) +. (xs.(hi) *. w)
 
+let sorted_prefix xs len =
+  let s = Array.sub xs 0 len in
+  Array.sort Float.compare s;
+  s
+
+(* P² read-out: piecewise-linear through (0, min), the marker estimates,
+   and (1, max).  Running max keeps the curve monotone even if marker
+   heights cross on an adversarial stream.  The points are walked in
+   place rather than collected as tuples. *)
+let p2_quantile t ms q =
+  let mn = t.q.(q_mn) and mx = t.q.(q_mx) in
+  let q = Float.max 0.0 (Float.min 1.0 q) in
+  let nm = Array.length ms in
+  let x0 = ref 0.0 and y0 = ref mn and level = ref mn in
+  let result = ref mx and i = ref 0 in
+  while !i <= nm do
+    let last = !i = nm in
+    let x1 = if last then 1.0 else (Array.unsafe_get ms !i).pq in
+    let y1 =
+      if last then mx
+      else begin
+        level := Float.max !level (Float.min mx (Array.unsafe_get ms !i).h.(2));
+        !level
+      end
+    in
+    if q <= x1 then begin
+      result :=
+        (if x1 -. !x0 <= 0.0 then y1
+         else !y0 +. ((q -. !x0) /. (x1 -. !x0) *. (y1 -. !y0)));
+      i := nm + 1
+    end
+    else begin
+      x0 := x1;
+      y0 := y1;
+      incr i
+    end
+  done;
+  !result
+
 let quantile t q =
   match t.store with
   | Res r ->
-    if r.stored = 0 then 0.0 else sorted_quantile (Array.sub r.data 0 r.stored) q
+    if r.stored = 0 then 0.0 else interp_sorted (sorted_prefix r.data r.stored) q
   | Stream s ->
     if t.n = 0 then 0.0
-    else if t.n <= 5 then sorted_quantile (Array.sub s.head 0 t.n) q
-    else begin
-      (* Piecewise-linear through (0, min), the marker estimates, and
-         (1, max).  Running max keeps the curve monotone even if marker
-         heights cross on an adversarial stream. *)
-      let mn = t.q.(q_mn) and mx = t.q.(q_mx) in
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      let pts = Array.make (Array.length s.markers + 2) (0.0, mn) in
-      let level = ref mn in
-      Array.iteri
-        (fun i m ->
-          level := Float.max !level (Float.min mx m.h.(2));
-          pts.(i + 1) <- (m.pq, !level))
-        s.markers;
-      pts.(Array.length pts - 1) <- (1.0, mx);
-      let result = ref mx in
-      (try
-         for i = 0 to Array.length pts - 2 do
-           let x0, y0 = pts.(i) and x1, y1 = pts.(i + 1) in
-           if q <= x1 then begin
-             result :=
-               (if x1 -. x0 <= 0.0 then y1
-                else y0 +. ((q -. x0) /. (x1 -. x0) *. (y1 -. y0)));
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
-    end
+    else if t.n <= 5 then interp_sorted (sorted_prefix s.head t.n) q
+    else p2_quantile t s.markers q
 
 (* Deterministically re-feed one accumulator's distribution sketch into
    another.  Reservoirs replay their stored sample; P² sketches replay a
@@ -287,18 +299,56 @@ let summarize (t : t) =
     { n = 0; mean = 0.0; stddev = 0.0; min = 0.0; max = 0.0;
       p50 = 0.0; p95 = 0.0; p99 = 0.0 }
   else
-    {
-      n = t.n;
-      mean = mean t;
-      stddev = stddev t;
-      min = min_value t;
-      max = max_value t;
-      p50 = quantile t 0.50;
-      p95 = quantile t 0.95;
-      p99 = quantile t 0.99;
-    }
+    let with_quantiles p50 p95 p99 =
+      { n = t.n; mean = mean t; stddev = stddev t; min = min_value t;
+        max = max_value t; p50; p95; p99 }
+    in
+    let of_sample xs len =
+      if len = 0 then with_quantiles 0.0 0.0 0.0
+      else if len = 1 then
+        (* Not [min]: a lone NaN sample leaves [min] at infinity. *)
+        let x = xs.(0) in
+        with_quantiles x x x
+      else
+        (* One sort serves all three quantiles. *)
+        let s = sorted_prefix xs len in
+        with_quantiles (interp_sorted s 0.50) (interp_sorted s 0.95)
+          (interp_sorted s 0.99)
+    in
+    match t.store with
+    | Res r -> of_sample r.data r.stored
+    | Stream s when t.n <= 5 -> of_sample s.head t.n
+    | Stream s ->
+      with_quantiles (p2_quantile t s.markers 0.50)
+        (p2_quantile t s.markers 0.95) (p2_quantile t s.markers 0.99)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let summary_labels = [| " mean="; " sd="; " min="; " p50="; " p95="; " p99="; " max=" |]
+
+(* Exactly what [Printf] produces for
+   ["n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g"]:
+   [%.4g] is [caml_format_float "%.4g"], called directly rather than
+   through a format interpreter that rebuilds the "%.4g" string per
+   value.  A field with the bit pattern of an earlier one (an n = 1 line
+   repeats its sample six times) reuses that field's string. *)
+let add_summary b s =
+  let v = [| s.mean; s.stddev; s.min; s.p50; s.p95; s.p99; s.max |] in
+  let text = Array.make 7 "" in
+  Buffer.add_string b "n=";
+  Buffer.add_string b (string_of_int s.n);
+  for j = 0 to 6 do
+    let bits = Int64.bits_of_float v.(j) in
+    let i = ref 0 in
+    while !i < j && Int64.bits_of_float v.(!i) <> bits do
+      incr i
+    done;
+    text.(j) <- (if !i < j then text.(!i) else format_float "%.4g" v.(j));
+    Buffer.add_string b summary_labels.(j);
+    Buffer.add_string b text.(j)
+  done
 
 let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
+  let b = Buffer.create 96 in
+  add_summary b s;
+  Format.pp_print_string fmt (Buffer.contents b)

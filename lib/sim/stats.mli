@@ -85,5 +85,10 @@ val summarize : t -> summary
 (** Snapshot the accumulator.  An empty accumulator summarizes to the
     all-zero summary ([n = 0]), not to NaNs. *)
 
+val add_summary : Buffer.t -> summary -> unit
+(** Append the one-line rendering of a summary, without a newline:
+    [n=%d] then [mean], [sd], [min], [p50], [p95], [p99] and [max], each
+    as [%.4g]. *)
+
 val pp_summary : Format.formatter -> summary -> unit
-(** One-line printer for a summary. *)
+(** Print the {!add_summary} line. *)

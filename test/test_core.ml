@@ -237,6 +237,38 @@ let test_unites_aggregate () =
   check_int "combined n" 2 agg.Stats.n;
   Alcotest.(check (float 1e-9)) "combined total" 0.4 (Unites.aggregate_total u Unites.Rtt)
 
+(* [aggregate_total] sums cell totals without merging accumulators.  On
+   a 1,000-session repository of inexact sums it must give the bits the
+   merge-based total gave — 0x40e8712f88fa2fa3, the same cells added in
+   the same table order — while allocating O(1) words per cell: merging
+   re-created an 8,192-float reservoir per cell. *)
+let test_unites_aggregate_total_no_merge () =
+  let e = Engine.create () in
+  let u = Unites.create e in
+  for i = 1 to 1000 do
+    Unites.observe u ~session:i Unites.Throughput (1.0 /. float_of_int i);
+    Unites.observe u ~session:i Unites.Throughput (0.1 *. float_of_int i);
+    if i mod 2 = 0 then Unites.observe u ~session:i Unites.Rtt 0.3
+  done;
+  let before = Gc.allocated_bytes () in
+  let total = Unites.aggregate_total u Unites.Throughput in
+  let words = (Gc.allocated_bytes () -. before) /. 8.0 in
+  Alcotest.(check int64) "bit-identical to the merge-based total"
+    0x40e8712f88fa2fa3L (Int64.bits_of_float total);
+  let cells = 1500 in
+  if words > 8.0 *. float_of_int cells then
+    Alcotest.failf "aggregate_total allocated %.0f words over %d cells" words
+      cells;
+  (* A lone cell's total is taken as is, not added to a zero; a metric
+     with no cells sums to +0. *)
+  let u = Unites.create e in
+  Unites.observe u ~session:1 Unites.Jitter (-0.0);
+  Alcotest.(check int64) "lone cell is its own total"
+    (Int64.bits_of_float (Unites.total u ~session:1 Unites.Jitter))
+    (Int64.bits_of_float (Unites.aggregate_total u Unites.Jitter));
+  Alcotest.(check int64) "no cells is +0" 0L
+    (Int64.bits_of_float (Unites.aggregate_total u Unites.Rtt))
+
 let test_unites_first_name_wins () =
   let e = Engine.create () in
   let u = Unites.create e in
@@ -592,6 +624,8 @@ let suite =
         Alcotest.test_case "whitebox gating" `Quick test_unites_whitebox_gating;
         Alcotest.test_case "metric kinds" `Quick test_unites_metric_kinds;
         Alcotest.test_case "aggregate" `Quick test_unites_aggregate;
+        Alcotest.test_case "aggregate total without merging" `Quick
+          test_unites_aggregate_total_no_merge;
         Alcotest.test_case "first name wins" `Quick test_unites_first_name_wins;
         Alcotest.test_case "bucketed series" `Quick test_unites_series;
         Alcotest.test_case "report smoke" `Quick test_unites_report_smoke;

@@ -111,6 +111,171 @@ let test_unites_report () =
   Format.pp_print_flush fmt ();
   check_golden "unites report" unites_report_golden (Buffer.contents buf)
 
+(* Every value class the summary writer formats — NaN, ±infinity, ±0,
+   tiny, large and negative samples — at each sample size where the
+   quantile path changes (one stored sample, a sorted sample of two to
+   five, the first P² marker step at six, a long stream past the
+   reservoir bound), under both estimators, with the scheduler and
+   overflow pseudo-sessions, a whitebox-restricted session, a session
+   with no cells, metric and trace names wider than their columns, and
+   an empty summary. *)
+let unites_edge_golden =
+  {golden|== p2 ==
+UNITES metric repository (t=2.500s, whitebox=true)
+session -5 (overflow):
+  throughput_bps       [bb] n=3 mean=nan sd=nan min=2 p50=2 p95=3.8 p99=3.96 max=4
+  timeouts             [wb] n=2 mean=1 sd=0 min=1 p50=1 p95=1 p99=1 max=1
+session 0 (scheduler):
+  sched_events_fired   [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+  sched_cancelled_ratio [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+  sched_wheel_hit_rate [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 1 (n1):
+  throughput_bps       [bb] n=1 mean=nan sd=nan min=inf p50=nan p95=nan p99=nan max=-inf
+  rtt_s                [bb] n=1 mean=inf sd=nan min=inf p50=inf p95=inf p99=inf max=inf
+  setup_latency_s      [wb] n=1 mean=-inf sd=nan min=-inf p50=-inf p95=-inf p99=-inf max=-inf
+  delivery_latency_s   [wb] n=1 mean=0 sd=nan min=-0 p50=-0 p95=-0 p99=-0 max=-0
+  jitter_s             [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+  segments_sent        [wb] n=1 mean=1e-07 sd=nan min=1e-07 p50=1e-07 p95=1e-07 p99=1e-07 max=1e-07
+  segments_delivered   [wb] n=1 mean=1.234e+04 sd=nan min=1.234e+04 p50=1.234e+04 p95=1.234e+04 p99=1.234e+04 max=1.234e+04
+  bytes_delivered      [wb] n=1 mean=-3.25 sd=nan min=-3.25 p50=-3.25 p95=-3.25 p99=-3.25 max=-3.25
+session 2 (n2):
+  throughput_bps       [bb] n=2 mean=6173 sd=8729 min=1e-07 p50=6173 p95=1.173e+04 p99=1.222e+04 max=1.234e+04
+  rtt_s                [bb] n=2 mean=0 sd=0 min=-0 p50=0 p95=0 p99=0 max=-0
+  setup_latency_s      [wb] n=2 mean=nan sd=nan min=1 p50=nan p95=nan p99=nan max=1
+  delivery_latency_s   [wb] n=2 mean=-nan sd=-nan min=-inf p50=-nan p95=-nan p99=-nan max=inf
+  jitter_s             [wb] n=2 mean=-3.25 sd=0 min=-3.25 p50=-3.25 p95=-3.25 p99=-3.25 max=-3.25
+session 3 (n5):
+  throughput_bps       [bb] n=5 mean=2470 sd=5520 min=-2.5 p50=1e-07 p95=9877 p99=1.185e+04 max=1.234e+04
+  rtt_s                [bb] n=5 mean=nan sd=nan min=0 p50=1 p95=inf p99=inf max=inf
+  steer_time_in_config_s [wb] n=5 mean=0.775 sd=0.7624 min=0.125 p50=0.5 p95=1.8 p99=1.96 max=2
+session 4 (n6):
+  throughput_bps       [bb] n=6 mean=2058 sd=5039 min=-1 p50=0.5 p95=0.5 p99=0.5 max=1.234e+04
+  rtt_s                [bb] n=6 mean=inf sd=-nan min=1 p50=3 p95=3 p99=3 max=inf
+session 5 (n200):
+  throughput_bps       [bb] n=200 mean=0.006429 sd=4.187 min=-7.143 p50=0.093 p95=6.39 p99=6.989 max=7.143
+  delivery_latency_s   [wb] n=200 mean=9.95e-06 sd=5.788e-06 min=0 p50=9.9e-06 p95=1.89e-05 p99=1.96e-05 max=1.99e-05
+  window_size          [wb] n=200 mean=-nan sd=-nan min=0 p50=-nan p95=-nan p99=-nan max=inf
+  host_cpu_s           [wb] n=200 mean=nan sd=nan min=-199 p50=-98.99 p95=-9 p99=-2 max=-0
+session 6 (restricted):
+  throughput_bps       [bb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+  jitter_s             [wb] n=2 mean=1 sd=1.414 min=-0 p50=1 p95=1.9 p99=1.98 max=2
+  retransmissions      [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 7 (silent):
+trace (dropped log entries: 0):
+  a-trace-counter-name-longer-than-28 1
+  short                        3
+empty: n=0 mean=0 sd=0 min=0 p50=0 p95=0 p99=0 max=0
+== reservoir ==
+UNITES metric repository (t=2.500s, whitebox=true)
+session -5 (overflow):
+  throughput_bps       [bb] n=3 mean=nan sd=nan min=2 p50=2 p95=3.8 p99=3.96 max=4
+  timeouts             [wb] n=2 mean=1 sd=0 min=1 p50=1 p95=1 p99=1 max=1
+session 0 (scheduler):
+  sched_events_fired   [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+  sched_cancelled_ratio [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+  sched_wheel_hit_rate [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 1 (n1):
+  throughput_bps       [bb] n=1 mean=nan sd=nan min=inf p50=nan p95=nan p99=nan max=-inf
+  rtt_s                [bb] n=1 mean=inf sd=nan min=inf p50=inf p95=inf p99=inf max=inf
+  setup_latency_s      [wb] n=1 mean=-inf sd=nan min=-inf p50=-inf p95=-inf p99=-inf max=-inf
+  delivery_latency_s   [wb] n=1 mean=0 sd=nan min=-0 p50=-0 p95=-0 p99=-0 max=-0
+  jitter_s             [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+  segments_sent        [wb] n=1 mean=1e-07 sd=nan min=1e-07 p50=1e-07 p95=1e-07 p99=1e-07 max=1e-07
+  segments_delivered   [wb] n=1 mean=1.234e+04 sd=nan min=1.234e+04 p50=1.234e+04 p95=1.234e+04 p99=1.234e+04 max=1.234e+04
+  bytes_delivered      [wb] n=1 mean=-3.25 sd=nan min=-3.25 p50=-3.25 p95=-3.25 p99=-3.25 max=-3.25
+session 2 (n2):
+  throughput_bps       [bb] n=2 mean=6173 sd=8729 min=1e-07 p50=6173 p95=1.173e+04 p99=1.222e+04 max=1.234e+04
+  rtt_s                [bb] n=2 mean=0 sd=0 min=-0 p50=0 p95=0 p99=0 max=-0
+  setup_latency_s      [wb] n=2 mean=nan sd=nan min=1 p50=nan p95=nan p99=nan max=1
+  delivery_latency_s   [wb] n=2 mean=-nan sd=-nan min=-inf p50=-nan p95=-nan p99=-nan max=inf
+  jitter_s             [wb] n=2 mean=-3.25 sd=0 min=-3.25 p50=-3.25 p95=-3.25 p99=-3.25 max=-3.25
+session 3 (n5):
+  throughput_bps       [bb] n=5 mean=2470 sd=5520 min=-2.5 p50=1e-07 p95=9877 p99=1.185e+04 max=1.234e+04
+  rtt_s                [bb] n=5 mean=nan sd=nan min=0 p50=1 p95=inf p99=inf max=inf
+  steer_time_in_config_s [wb] n=5 mean=0.775 sd=0.7624 min=0.125 p50=0.5 p95=1.8 p99=1.96 max=2
+session 4 (n6):
+  throughput_bps       [bb] n=6 mean=2058 sd=5039 min=-1 p50=0.25 p95=9260 p99=1.173e+04 max=1.234e+04
+  rtt_s                [bb] n=6 mean=inf sd=-nan min=1 p50=3.5 p95=inf p99=inf max=inf
+session 5 (n200):
+  throughput_bps       [bb] n=200 mean=0.006429 sd=4.187 min=-7.143 p50=0.7857 p95=6.814 p99=7.143 max=7.143
+  delivery_latency_s   [wb] n=200 mean=9.95e-06 sd=5.788e-06 min=0 p50=8.7e-06 p95=1.854e-05 p99=1.977e-05 max=1.99e-05
+  window_size          [wb] n=200 mean=-nan sd=-nan min=0 p50=4 p95=8 p99=inf max=inf
+  host_cpu_s           [wb] n=200 mean=nan sd=nan min=-199 p50=-87 p95=-6.3 p99=-2.26 max=-0
+session 6 (restricted):
+  throughput_bps       [bb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+  jitter_s             [wb] n=2 mean=1 sd=1.414 min=-0 p50=1 p95=1.9 p99=1.98 max=2
+  retransmissions      [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 7 (silent):
+trace (dropped log entries: 0):
+  a-trace-counter-name-longer-than-28 1
+  short                        3
+empty: n=0 mean=0 sd=0 min=0 p50=0 p95=0 p99=0 max=0
+|golden}
+
+let unites_edge_output estimator =
+  let engine = Engine.create () in
+  let unites = Unites.create ~reservoir:64 ~estimator ~session_cap:7 engine in
+  let trace = Trace.create ~log_capacity:4 () in
+  Unites.attach_trace unites trace;
+  let obs session m vs = List.iter (Unites.observe unites ~session m) vs in
+  let stream n f = List.init n f in
+  Engine.schedule_anon engine ~at:(Time.ms 2500) (fun () ->
+      List.iteri
+        (fun i name -> Unites.register_session unites ~id:(i + 1) ~name)
+        [ "n1"; "n2"; "n5"; "n6"; "n200"; "restricted"; "silent";
+          "past-cap-a"; "past-cap-b" ];
+      (* One observation each: the value classes the writer formats. *)
+      obs 1 Unites.Throughput [ nan ];
+      obs 1 Unites.Rtt [ infinity ];
+      obs 1 Unites.Setup_latency [ neg_infinity ];
+      obs 1 Unites.Delivery_latency [ -0.0 ];
+      obs 1 Unites.Jitter [ 0.0 ];
+      obs 1 Unites.Segments_sent [ 1e-7 ];
+      obs 1 Unites.Segments_delivered [ 12345.0 ];
+      obs 1 Unites.Bytes_delivered [ -3.25 ];
+      obs 2 Unites.Throughput [ 1e-7; 12345.0 ];
+      obs 2 Unites.Rtt [ -0.0; 0.0 ];
+      obs 2 Unites.Setup_latency [ nan; 1.0 ];
+      obs 2 Unites.Delivery_latency [ infinity; neg_infinity ];
+      obs 2 Unites.Jitter [ -3.25; -3.25 ];
+      obs 3 Unites.Throughput [ -2.5; 12345.0; 1e-7; -0.0; 7.0 ];
+      obs 3 Unites.Rtt [ 1.0; nan; 3.0; infinity; 0.0 ];
+      obs 3 Unites.Steer_time_in_config [ 0.5; 0.25; 0.125; 1.0; 2.0 ];
+      obs 4 Unites.Throughput [ 6.0; -1.0; 0.5; 12345.0; 1e-7; -0.0 ];
+      obs 4 Unites.Rtt [ 3.0; 1.0; 4.0; 1.0; 5.0; infinity ];
+      obs 5 Unites.Throughput
+        (stream 200 (fun i -> float_of_int ((i * 37) mod 101 - 50) /. 7.0));
+      obs 5 Unites.Delivery_latency (stream 200 (fun i -> 1e-7 *. float_of_int i));
+      obs 5 Unites.Window_size
+        (stream 200 (fun i -> if i = 150 then infinity else float_of_int (i mod 9)));
+      obs 5 Unites.Host_cpu
+        (stream 200 (fun i -> if i = 100 then nan else -.float_of_int i));
+      Unites.restrict_session unites ~id:6 [ Unites.Retransmissions; Unites.Jitter ];
+      obs 6 Unites.Throughput [ 1.0 ];
+      obs 6 Unites.Delivery_latency [ 0.5 ];
+      Unites.count unites ~session:6 Unites.Retransmissions;
+      obs 6 Unites.Jitter [ -0.0; 2.0 ];
+      Unites.restrict_session unites ~id:9 [ Unites.Timeouts ];
+      obs 8 Unites.Throughput [ 2.0 ];
+      obs 9 Unites.Throughput [ nan; 4.0 ];
+      Unites.count unites ~session:8 Unites.Timeouts;
+      Unites.count unites ~session:9 Unites.Timeouts;
+      obs 9 Unites.Acks_sent [ 3.0 ];
+      Trace.count trace "a-trace-counter-name-longer-than-28";
+      Trace.count_by trace "short" 3);
+  Engine.run engine;
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  Unites.report fmt unites;
+  Format.fprintf fmt "empty: %a@." Stats.pp_summary
+    (Stats.summarize (Stats.create ~estimator ()));
+  Buffer.contents buf
+
+let test_unites_edge () =
+  check_golden "UNITES report edge values" unites_edge_golden
+    ("== p2 ==\n" ^ unites_edge_output Stats.P2 ^ "== reservoir ==\n"
+    ^ unites_edge_output Stats.Reservoir)
+
 (* One wire-true run pinned end to end: the churn outcome (with its wire
    report line) and the full UNITES repository, including the wire
    pseudo-session.  Any change to the wire path's accounting, the codec's
@@ -335,6 +500,8 @@ let suite =
         Alcotest.test_case "table1 output is pinned" `Quick test_table1;
         Alcotest.test_case "table2 output is pinned" `Quick test_table2;
         Alcotest.test_case "UNITES report is pinned" `Quick test_unites_report;
+        Alcotest.test_case "UNITES report edge values are pinned" `Quick
+          test_unites_edge;
         Alcotest.test_case "wire-true swarm report is pinned" `Quick
           test_wire_swarm;
         Alcotest.test_case "steered swarm report is pinned" `Quick

@@ -270,6 +270,24 @@ let test_alloc_budget () =
     (List.map fst o.Churn.stage_minor_words
     = [ "build"; "schedule"; "sim"; "reduce" ])
 
+(* Regression guard for the UNITES report stage: rendering every
+   partition's report of a seeded P² run must stay under a fixed
+   minor-words-per-line ceiling.  Rendering through [Format] and a fresh
+   summary record per line cost ~620 words/line here; the direct writer
+   ~70.  The ceiling is the one e13's smoke run enforces. *)
+let test_report_alloc () =
+  let cfg = { (partitioned ~sessions:2_000 ~seed:77) with Churn.partitions = 2 } in
+  let module C = Bench_harness.Churn_scale in
+  let _, render = C.render_reports (Churn.run cfg) in
+  check_bool "reports rendered" true (render.C.render_lines > 1_000);
+  let per_line = C.words_per_line render in
+  let ceiling = C.render_ceiling_words_per_line in
+  if per_line > ceiling then
+    Alcotest.failf
+      "UNITES report rendering allocates %.0f minor words/line (ceiling \
+       %.0f)"
+      per_line ceiling
+
 (* ------------------------------------------------------------------ *)
 (* P² estimator vs exact order statistics *)
 
@@ -370,6 +388,11 @@ let suite =
       [
         Alcotest.test_case "sim stage under the words/event ceiling" `Quick
           test_alloc_budget;
+      ] );
+    ( "unites.report_alloc",
+      [
+        Alcotest.test_case "report rendering under the words/line ceiling"
+          `Quick test_report_alloc;
       ] );
     ( "megaswarm.p2",
       List.map QCheck_alcotest.to_alcotest [ prop_p2_error_bound ]
