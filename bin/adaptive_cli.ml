@@ -433,10 +433,21 @@ let env_conv =
   in
   Arg.conv (parse, print)
 
+(* Run, replica and domain counts: zero or a negative count is a usage
+   error (exit 124 with a message), not an exception deep inside a run. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let schedules_arg =
   Arg.(
     value
-    & opt int 25
+    & opt positive_int 25
     & info [ "schedules" ] ~docv:"N" ~doc:"Randomized fault schedules to run.")
 
 let seed_arg =
@@ -464,7 +475,7 @@ let sabotage_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Shard runs across $(docv) domains via FLEET; output is \
@@ -482,7 +493,7 @@ let seeds_arg =
 let replicas_arg =
   Arg.(
     value
-    & opt int 12
+    & opt positive_int 12
     & info [ "replicas" ] ~docv:"N"
         ~doc:"Seeds on the campaign's replication axis (unless --seeds).")
 

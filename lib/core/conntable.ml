@@ -161,10 +161,9 @@ let clear_slot t slot =
   | _ -> ());
   t.values.(slot) <- None
 
-let grow t =
+let rehash t cap =
   let old_states = t.states and old_keys = t.keys in
   let old_values = t.values and old_expiry = t.expiry in
-  let cap = (t.mask + 1) * 2 in
   t.keys <- Array.make cap 0;
   t.states <- Array.make cap s_free;
   t.values <- Array.make cap None;
@@ -182,8 +181,15 @@ let grow t =
       end)
     old_states
 
+(* Tombstones count toward the 3/4 limit (they lengthen probes), but only
+   entries still held justify more room: under churn the tombstones of
+   long-gone sessions would otherwise double the table once per doubling
+   of sessions ever opened.  So when live and time-wait entries fill less
+   than half the table, rehash in place to drop the tombstones. *)
 let maybe_grow t =
-  if (t.live + t.waiting + t.tombs) * 4 >= (t.mask + 1) * 3 then grow t
+  let cap = t.mask + 1 in
+  if (t.live + t.waiting + t.tombs) * 4 >= cap * 3 then
+    rehash t (if (t.live + t.waiting) * 2 < cap then cap else cap * 2)
 
 let insert t ~key ~half_open v =
   maybe_grow t;

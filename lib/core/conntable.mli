@@ -16,9 +16,11 @@
       session object is released for collection when the entry is
       retired — only the key and an expiry instant.
 
-    The table grows by doubling and rehashing (dropping tombstones) when
-    combined occupancy crosses 3/4, so probe sequences stay short at any
-    session count. *)
+    When live, time-wait and tombstone slots together cross 3/4 of the
+    table, it is rehashed, dropping tombstones: at the same capacity if
+    live and time-wait entries fill less than half of it, at double the
+    capacity otherwise.  Probe sequences stay short at any session count,
+    and capacity follows the entries held, not the sessions ever opened. *)
 
 open Adaptive_sim
 

@@ -47,10 +47,6 @@ type dispatcher = {
   mutable tw_armed : bool;
   mutable tw_sweeps : int; (* sweeper firings, cumulative *)
   mutable tw_expired : int; (* time-wait entries expired, cumulative *)
-  d_soa : Sessoa.t;
-      (* Flat columns for every endpoint's per-event-touched counters;
-         see sessoa.mli.  The boxed record below keeps only cold and
-         setup state. *)
 }
 
 and accept_decision =
@@ -66,11 +62,6 @@ and t = {
   id : int;
   ep_name : string;
   disp : dispatcher;
-  soa_slot : int;
-      (* Index of this endpoint's row in the dispatcher's [Sessoa]
-         columns: send-side sequencing and recovery marks, queue and
-         delivery counters, the receiver echo stamp.  Accessed only via
-         the helpers right below the type definitions. *)
   mutable peers : Network.addr list;
   ctx : Tko.context;
   mutable ep_state : state;
@@ -79,6 +70,16 @@ and t = {
   mutable pending_peers : Network.addr list; (* awaiting Syn_ack *)
   (* sender half *)
   sendq : pending_send Queue.t;
+  mutable sendq_bytes : int;
+  mutable next_seq : int;
+  mutable first_tx : int; (* first transmissions *)
+  mutable rtx_count : int;
+  mutable peer_window : int;
+  mutable last_cum : int;
+  mutable dup_acks : int;
+  mutable recover_mark : int;
+      (* RFC 6582: highest seq sent when the current loss-recovery
+         episode began. *)
   mutable rtx_timer : Engine.Timer.timer option;
   mutable pump_event : Engine.handle option;
   mutable syn_timer : Engine.Timer.timer option;
@@ -90,6 +91,9 @@ and t = {
   mutable skip_timer : Engine.Timer.timer option;
   mutable nack_timer : Engine.Timer.timer option;
   mutable last_latency : Time.t option;
+  mutable echo_stamp : Time.t; (* newest data tx_stamp seen, echoed in acks *)
+  mutable delivered_segments : int;
+  mutable delivered_bytes : int;
   (* signaling *)
   signal_queue : string Queue.t;
   mutable signal_inflight : string option;
@@ -104,41 +108,6 @@ and t = {
    session reports — identically regardless of what ran before it or
    runs beside it on another domain. *)
 let fresh_conn_id disp = Network.fresh_conn_id disp.net
-
-(* ------------------------------------------------------------------ *)
-(* Struct-of-arrays hot counters.  These helpers are the only access
-   path to the dispatcher's [Sessoa] columns; everything below reads
-   like the old record fields but compiles to immediate int loads and
-   stores into flat arrays. *)
-
-let next_seq t = Sessoa.get_next_seq t.disp.d_soa t.soa_slot
-let set_next_seq t v = Sessoa.set_next_seq t.disp.d_soa t.soa_slot v
-let peer_window t = Sessoa.get_peer_window t.disp.d_soa t.soa_slot
-let set_peer_window t v = Sessoa.set_peer_window t.disp.d_soa t.soa_slot v
-let dup_acks t = Sessoa.get_dup_acks t.disp.d_soa t.soa_slot
-let set_dup_acks t v = Sessoa.set_dup_acks t.disp.d_soa t.soa_slot v
-let last_cum t = Sessoa.get_last_cum t.disp.d_soa t.soa_slot
-let set_last_cum t v = Sessoa.set_last_cum t.disp.d_soa t.soa_slot v
-
-(* RFC 6582: highest seq sent when the current loss-recovery episode
-   began. *)
-let recover_mark t = Sessoa.get_recover t.disp.d_soa t.soa_slot
-let set_recover_mark t v = Sessoa.set_recover t.disp.d_soa t.soa_slot v
-let first_tx t = Sessoa.get_first_tx t.disp.d_soa t.soa_slot
-let set_first_tx t v = Sessoa.set_first_tx t.disp.d_soa t.soa_slot v
-let rtx_count t = Sessoa.get_rtx_count t.disp.d_soa t.soa_slot
-let set_rtx_count t v = Sessoa.set_rtx_count t.disp.d_soa t.soa_slot v
-let sendq_bytes t = Sessoa.get_sendq_bytes t.disp.d_soa t.soa_slot
-let set_sendq_bytes t v = Sessoa.set_sendq_bytes t.disp.d_soa t.soa_slot v
-let delivered_segments t = Sessoa.get_delivered_segments t.disp.d_soa t.soa_slot
-let set_delivered_segments t v =
-  Sessoa.set_delivered_segments t.disp.d_soa t.soa_slot v
-let delivered_bytes t = Sessoa.get_delivered_bytes t.disp.d_soa t.soa_slot
-let set_delivered_bytes t v = Sessoa.set_delivered_bytes t.disp.d_soa t.soa_slot v
-
-(* Newest data tx_stamp seen, echoed in acks. *)
-let echo_stamp t : Time.t = Sessoa.get_echo_stamp t.disp.d_soa t.soa_slot
-let set_echo_stamp t (v : Time.t) = Sessoa.set_echo_stamp t.disp.d_soa t.soa_slot v
 
 (* ------------------------------------------------------------------ *)
 (* Connection-table maintenance (time-wait, swarm telemetry) *)
@@ -187,8 +156,8 @@ let context t = t.ctx
 let peers t = t.peers
 let local_addr t = t.disp.d_addr
 let established_at t = t.established_time
-let bytes_delivered t = delivered_bytes t
-let segments_delivered t = delivered_segments t
+let bytes_delivered t = t.delivered_bytes
+let segments_delivered t = t.delivered_segments
 let engine t = t.disp.d_engine
 let now t = Engine.now (engine t)
 let unites t = t.disp.d_unites
@@ -208,8 +177,8 @@ let segue_ctx t next =
   r
 
 let loss_rate_estimate t =
-  if first_tx t = 0 then 0.0
-  else float_of_int (rtx_count t) /. float_of_int (first_tx t + rtx_count t)
+  if t.first_tx = 0 then 0.0
+  else float_of_int t.rtx_count /. float_of_int (t.first_tx + t.rtx_count)
 
 (* For NACK-based and silent reporting, the in-flight set is only a repair
    history: it never drains via acks and must not hold up close. *)
@@ -221,8 +190,8 @@ let is_multicast t = List.length t.peers > 1
 
 let backlog_delay t =
   match t.ctx.Tko.rate with
-  | Some pacer when sendq_bytes t > 0 ->
-    Time.of_rate ~bits:(sendq_bytes t * 8) ~bps:(Rate.rate_bps pacer)
+  | Some pacer when t.sendq_bytes > 0 ->
+    Time.of_rate ~bits:(t.sendq_bytes * 8) ~bps:(Rate.rate_bps pacer)
   | Some _ | None -> Time.zero
 
 (* ------------------------------------------------------------------ *)
@@ -359,7 +328,7 @@ let rec ensure_rtx_armed t =
 and on_rtx_timeout t =
   if not (Window.is_empty t.ctx.Tko.window) && t.ep_state <> Closed then begin
     Unites.count (unites t) ~session:t.id Unites.Timeouts;
-    set_recover_mark t (next_seq t - 1);
+    t.recover_mark <- t.next_seq - 1;
     Rtt.on_timeout t.ctx.Tko.rtt;
     (match t.ctx.Tko.cc with Some cc -> Slowstart.on_loss cc | None -> ());
     (match (scs t).Scs.recovery with
@@ -367,7 +336,7 @@ and on_rtx_timeout t =
       match Window.lowest_outstanding t.ctx.Tko.window with
       | Some low ->
         let segs = Window.unsacked_from t.ctx.Tko.window low in
-        let window = Tko.effective_send_window t.ctx ~peer_window:(peer_window t) in
+        let window = Tko.effective_send_window t.ctx ~peer_window:t.peer_window in
         let capped = List.filteri (fun i _ -> i < max 1 window) segs in
         List.iter (retransmit t ~dsts:t.peers) capped
       | None -> ())
@@ -380,7 +349,7 @@ and on_rtx_timeout t =
       List.iter (retransmit t ~dsts:t.peers) (List.rev !holes)
     | Params.No_recovery | Params.Forward_error_correction _ ->
       (* No ARQ: free stalled in-flight state so the window never wedges. *)
-      let given_up = Window.on_cumulative_ack t.ctx.Tko.window ~cum:(next_seq t) in
+      let given_up = Window.on_cumulative_ack t.ctx.Tko.window ~cum:t.next_seq in
       Unites.observe (unites t) ~session:t.id Unites.Losses_unrecovered
         (float_of_int (List.length given_up)));
     ensure_rtx_armed t;
@@ -388,7 +357,7 @@ and on_rtx_timeout t =
   end
 
 and retransmit t ~dsts (seg : Pdu.seg) =
-  set_rtx_count t (rtx_count t + 1);
+  t.rtx_count <- t.rtx_count + 1;
   Unites.count (unites t) ~session:t.id Unites.Retransmissions;
   Window.touch t.ctx.Tko.window seg.Pdu.seq ~at:(now t);
   inject_to t dsts (Pdu.Data { conn = t.id; seg; retransmit = true; tx_stamp = now t })
@@ -408,7 +377,7 @@ and pump t =
         if not tracks then true
         else
           Window.in_flight ctx.Tko.window
-          < Tko.effective_send_window ctx ~peer_window:(peer_window t)
+          < Tko.effective_send_window ctx ~peer_window:t.peer_window
       in
       if not window_ok then continue := false
       else begin
@@ -445,18 +414,18 @@ and schedule_pump t ~at =
 
 and transmit_next t =
   let { ps_bytes; ps_stamp; ps_last; ps_payload } = Queue.pop t.sendq in
-  set_sendq_bytes t (sendq_bytes t - ps_bytes);
+  t.sendq_bytes <- t.sendq_bytes - ps_bytes;
   let seg =
     {
-      Pdu.seq = next_seq t;
+      Pdu.seq = t.next_seq;
       seg_bytes = ps_bytes;
       app_stamp = ps_stamp;
       app_last = ps_last;
       payload = ps_payload;
     }
   in
-  set_next_seq t (next_seq t + 1);
-  set_first_tx t (first_tx t + 1);
+  t.next_seq <- t.next_seq + 1;
+  t.first_tx <- t.first_tx + 1;
   let ctx = t.ctx in
   if Scs.tracks_peer_feedback (scs t) then begin
     Window.track ctx.Tko.window seg ~at:(now t);
@@ -465,7 +434,7 @@ and transmit_next t =
     if (scs t).Scs.reporting = Params.Nack_on_gap then begin
       let cap = max 256 (4 * (scs t).Scs.recv_buffer_segments) in
       if Window.in_flight ctx.Tko.window > cap then
-        ignore (Window.on_cumulative_ack ctx.Tko.window ~cum:(next_seq t - cap))
+        ignore (Window.on_cumulative_ack ctx.Tko.window ~cum:(t.next_seq - cap))
     end
   end;
   Unites.count (unites t) ~session:t.id Unites.Segments_sent;
@@ -499,7 +468,7 @@ and send_parity t covered =
 (* Connection management: active open *)
 
 and send_syn t =
-  let blob = encode_proposal (scs t) ~start_seq:(next_seq t) in
+  let blob = encode_proposal (scs t) ~start_seq:t.next_seq in
   count_control t;
   let dsts = if t.pending_peers = [] then t.peers else t.pending_peers in
   inject_to t dsts (Pdu.Syn { conn = t.id; blob; first = None });
@@ -598,7 +567,7 @@ and send_ack_now t ~with_sack =
          cum = Reorder.expected reorder;
          window = advertised_window t;
          sack;
-         echo = echo_stamp t;
+         echo = t.echo_stamp;
        })
 
 and schedule_ack t ~delay ~with_sack =
@@ -626,8 +595,8 @@ and send_nack t missing =
 
 and deliver_segment t (seg : Pdu.seg) ~damaged =
   let release arrival_point =
-    set_delivered_segments t (delivered_segments t + 1);
-    set_delivered_bytes t (delivered_bytes t + seg.Pdu.seg_bytes);
+    t.delivered_segments <- t.delivered_segments + 1;
+    t.delivered_bytes <- t.delivered_bytes + seg.Pdu.seg_bytes;
     Unites.count (unites t) ~session:t.id Unites.Segments_delivered;
     Unites.observe (unites t) ~session:t.id Unites.Bytes_delivered
       (float_of_int seg.Pdu.seg_bytes);
@@ -742,7 +711,7 @@ and on_renack_timeout t =
 
 and handle_data t ?(tx_stamp = Time.zero) (recv : Pdu.t Network.recv) (seg : Pdu.seg) =
   let detection = (scs t).Scs.detection in
-  if tx_stamp > echo_stamp t then set_echo_stamp t tx_stamp;
+  if tx_stamp > t.echo_stamp then t.echo_stamp <- tx_stamp;
   if recv.Network.corrupted && detection <> Params.No_detection then
     Unites.count (unites t) ~session:t.id Unites.Corrupt_detected
   else begin
@@ -813,7 +782,7 @@ and handle_parity t (recv : Pdu.t Network.recv) ~covered ~parity =
 (* Sender: feedback processing *)
 
 and handle_ack t ~cum ~window ~sack ~echo =
-  set_peer_window t (max 1 window);
+  t.peer_window <- max 1 window;
   let ctx = t.ctx in
   let newly = Window.on_cumulative_ack ctx.Tko.window ~cum in
   (* RTT sampling via timestamp echo (RFC 7323 style): the receiver
@@ -853,20 +822,20 @@ and handle_ack t ~cum ~window ~sack ~echo =
     List.iter (retransmit t ~dsts:t.peers) (List.rev !holes)
   | Params.Selective_repeat | Params.Go_back_n | Params.No_recovery
   | Params.Forward_error_correction _ -> ());
-  if newly = [] && cum = last_cum t && cum < next_seq t then begin
-    set_dup_acks t (dup_acks t + 1);
+  if newly = [] && cum = t.last_cum && cum < t.next_seq then begin
+    t.dup_acks <- t.dup_acks + 1;
     (* One fast retransmit per recovery episode (RFC 6582): duplicate
        acks below [recover] are echoes of our own retransmission burst,
        not evidence of a new loss. *)
-    let fresh_episode = cum > recover_mark t in
-    if dup_acks t >= 3 && fresh_episode then begin
-      set_dup_acks t 0;
-      set_recover_mark t (next_seq t - 1);
+    let fresh_episode = cum > t.recover_mark in
+    if t.dup_acks >= 3 && fresh_episode then begin
+      t.dup_acks <- 0;
+      t.recover_mark <- t.next_seq - 1;
       (match ctx.Tko.cc with Some cc -> Slowstart.on_loss cc | None -> ());
       match (scs t).Scs.recovery with
       | Params.Go_back_n ->
         let segs = Window.unsacked_from ctx.Tko.window cum in
-        let cap = max 1 (Tko.effective_send_window ctx ~peer_window:(peer_window t)) in
+        let cap = max 1 (Tko.effective_send_window ctx ~peer_window:t.peer_window) in
         List.iteri (fun i seg -> if i < cap then retransmit t ~dsts:t.peers seg) segs
       | Params.Selective_repeat -> (
         (* Without SACK blocks in this ack, fall back to resending the
@@ -879,8 +848,8 @@ and handle_ack t ~cum ~window ~sack ~echo =
     end
   end
   else begin
-    set_dup_acks t 0;
-    set_last_cum t cum
+    t.dup_acks <- 0;
+    t.last_cum <- cum
   end;
   if newly <> [] then begin
     (* Forward progress: re-arm the timer afresh and drop any timeout
@@ -963,8 +932,7 @@ and make_endpoint ~disp ~conn ~ep_name ~binding ~peers ~scs ~start_seq ~on_deliv
     ctx.Tko.reorder <-
       Reorder.create ~start:start_seq ~ordering:scs.Scs.ordering
         ~duplicates:scs.Scs.duplicates ();
-  let soa_slot = Sessoa.alloc disp.d_soa in
-  let t = 
+  let t =
     {
       id = conn;
       ep_name;
@@ -976,7 +944,14 @@ and make_endpoint ~disp ~conn ~ep_name ~binding ~peers ~scs ~start_seq ~on_deliv
       established_time = None;
       pending_peers = [];
       sendq = Queue.create ();
-      soa_slot;
+      sendq_bytes = 0;
+      next_seq = start_seq;
+      first_tx = 0;
+      rtx_count = 0;
+      peer_window = scs.Scs.recv_buffer_segments;
+      last_cum = start_seq;
+      dup_acks = 0;
+      recover_mark = -1;
       rtx_timer = None;
       pump_event = None;
       syn_timer = None;
@@ -987,6 +962,9 @@ and make_endpoint ~disp ~conn ~ep_name ~binding ~peers ~scs ~start_seq ~on_deliv
       skip_timer = None;
       nack_timer = None;
       last_latency = None;
+      echo_stamp = Time.zero;
+      delivered_segments = 0;
+      delivered_bytes = 0;
       signal_queue = Queue.create ();
       signal_inflight = None;
       signal_timer = None;
@@ -995,11 +973,6 @@ and make_endpoint ~disp ~conn ~ep_name ~binding ~peers ~scs ~start_seq ~on_deliv
       on_signal_reply = (match on_signal_reply with Some f -> f | None -> fun _ _ -> ());
     }
   in
-  (* Fresh columns are zero; only the non-zero hot state needs setting. *)
-  set_next_seq t start_seq;
-  set_peer_window t scs.Scs.recv_buffer_segments;
-  set_last_cum t start_seq;
-  set_recover_mark t (-1);
   t.on_signal <-
     (fun ep blob ->
       let builtin = default_on_signal ep blob in
@@ -1174,7 +1147,6 @@ module Dispatcher = struct
         d_tap = None;
         d_on_close = None;
         d_committed = 0;
-        d_soa = Sessoa.create ();
         tw_timer = None;
         tw_armed = false;
         tw_sweeps = 0;
@@ -1295,7 +1267,7 @@ let send t ~bytes ?payload ?app_stamp () =
         t.sendq
   in
   split bytes;
-  set_sendq_bytes t (sendq_bytes t + bytes);
+  t.sendq_bytes <- t.sendq_bytes + bytes;
   pump t
 
 let close ?(graceful = true) t =
@@ -1341,7 +1313,7 @@ let add_peer t addr =
     count_control t;
     inject_to t [ addr ]
       (Pdu.Syn
-         { conn = t.id; blob = encode_proposal (scs t) ~start_seq:(next_seq t); first = None });
+         { conn = t.id; blob = encode_proposal (scs t) ~start_seq:t.next_seq; first = None });
     arm_syn_timer t
   end
 

@@ -14,14 +14,6 @@ open Adaptive_workloads
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The partitioned shape the scale experiments run: four partitions, one
-   churn round, P² quantiles. *)
-let partitioned ~sessions ~seed =
-  { (Churn.default_config ~sessions ~seed) with
-    Churn.partitions = 4;
-    churn_rounds = 1;
-    estimator = Stats.P2 }
-
 (* Run [cfg] at 1, 2 and 4 shards: combined digest, per-partition digests
    and rendered UNITES reports must all be identical. *)
 let shard_invariant cfg =
@@ -93,7 +85,7 @@ let prop_shard_parity =
     gen
     (fun (seed, sessions, partitions, admission, steer, burst, wire) ->
       shard_invariant
-        { (partitioned ~sessions ~seed) with
+        { (Bench_harness.Churn_scale.partitioned ~shards:1 ~sessions ~seed) with
           Churn.partitions;
           admission;
           steer = (if steer then Some Steer.default_policy else None);
@@ -124,12 +116,12 @@ let prop_pair_lookahead_parity =
     gen
     (fun (seed, sessions, partitions, spread_ms) ->
       shard_invariant
-        { (partitioned ~sessions ~seed) with
+        { (Bench_harness.Churn_scale.partitioned ~shards:1 ~sessions ~seed) with
           Churn.partitions;
           wan_spread = Time.ms spread_ms })
 
 let test_partitioned_deterministic () =
-  let cfg = partitioned ~sessions:150 ~seed:11 in
+  let cfg = Bench_harness.Churn_scale.partitioned ~shards:1 ~sessions:150 ~seed:11 in
   let o1 = Churn.run cfg in
   let o2 = Churn.run cfg in
   check_bool "same seed, same digest" true
@@ -217,7 +209,8 @@ let test_zero_lookahead_rejected () =
   (* The same guard reaches churn configs through wan_latency. *)
   match
     Churn.run
-      { (partitioned ~sessions:50 ~seed:3) with Churn.wan_latency = Time.zero }
+      { (Bench_harness.Churn_scale.partitioned ~shards:1 ~sessions:50 ~seed:3) with
+        Churn.wan_latency = Time.zero }
   with
   | _ -> Alcotest.fail "zero wan_latency must not run"
   | exception Invalid_argument _ -> ()
@@ -252,7 +245,10 @@ let test_zero_pair_lookahead_rejected () =
    onto the per-event path.  shards = 1 so the per-domain GC counters
    see every event. *)
 let test_alloc_budget () =
-  let cfg = { (partitioned ~sessions:2_000 ~seed:77) with Churn.partitions = 2 } in
+  let cfg =
+    { (Bench_harness.Churn_scale.partitioned ~shards:1 ~sessions:2_000 ~seed:77) with
+      Churn.partitions = 2 }
+  in
   let o = Churn.run cfg in
   let sim =
     match List.assoc_opt "sim" o.Churn.stage_minor_words with
@@ -276,8 +272,10 @@ let test_alloc_budget () =
    summary record per line cost ~620 words/line here; the direct writer
    ~70.  The ceiling is the one e13's smoke run enforces. *)
 let test_report_alloc () =
-  let cfg = { (partitioned ~sessions:2_000 ~seed:77) with Churn.partitions = 2 } in
   let module C = Bench_harness.Churn_scale in
+  let cfg =
+    { (C.partitioned ~shards:1 ~sessions:2_000 ~seed:77) with Churn.partitions = 2 }
+  in
   let _, render = C.render_reports (Churn.run cfg) in
   check_bool "reports rendered" true (render.C.render_lines > 1_000);
   let per_line = C.words_per_line render in

@@ -411,6 +411,28 @@ let test_graceful_close_drains () =
   check_int "drained before fin" 50_000 (received_bytes f f.b);
   check_bool "closed" true (Session.state s = Session.Closed)
 
+(* Delivery counters live on the endpoint itself, so they stay readable
+   after teardown, when reports and callers consult them. *)
+let test_counters_survive_close () =
+  let f = make_fixture ~path_ab:(lan ()) () in
+  let scs = transfer_scs Params.Go_back_n (Params.Cumulative_ack { delay = Time.ms 1 }) in
+  let passive = ref None in
+  Session.Dispatcher.set_delivery_tap f.disp_b (fun ep _ -> passive := Some ep);
+  let s = Session.connect f.disp_a ~peers:[ f.b ] ~scs () in
+  Session.send s ~bytes:50_000 ();
+  Session.close s;
+  Engine.run f.engine ~until:(Time.sec 30.0);
+  let r =
+    match !passive with Some ep -> ep | None -> Alcotest.fail "nothing delivered"
+  in
+  check_bool "initiator closed" true (Session.state s = Session.Closed);
+  check_bool "responder closed" true (Session.state r = Session.Closed);
+  check_int "responder left the table" 0 (Session.Dispatcher.session_count f.disp_b);
+  check_int "responder bytes" 50_000 (Session.bytes_delivered r);
+  check_int "responder segments" 50 (Session.segments_delivered r);
+  check_int "initiator bytes" 0 (Session.bytes_delivered s);
+  check_int "initiator segments" 0 (Session.segments_delivered s)
+
 let test_abort_may_lose_data () =
   let f = make_fixture ~path_ab:(lan ()) () in
   let scs = transfer_scs Params.Go_back_n (Params.Cumulative_ack { delay = Time.ms 1 }) in
@@ -762,6 +784,8 @@ let suite =
         Alcotest.test_case "negotiation counter-proposal" `Quick
           test_negotiation_counter_proposal;
         Alcotest.test_case "graceful close drains" `Quick test_graceful_close_drains;
+        Alcotest.test_case "delivery counters survive close" `Quick
+          test_counters_survive_close;
         Alcotest.test_case "abort may lose data" `Quick test_abort_may_lose_data;
         Alcotest.test_case "send after close rejected" `Quick
           test_send_after_close_rejected;

@@ -152,6 +152,86 @@ let prop_conntable_matches_model =
       Conntable.iter_live (fun _ _ -> incr iterated) t;
       !ok && !iterated = Conntable.live_count t)
 
+(* Under steady churn the table's size must follow the entries it holds,
+   not the sessions it has ever seen: tombstones left by swept time-wait
+   entries are dropped by rehashing in place, not by doubling. *)
+let test_conntable_capacity_bounded () =
+  let t = Conntable.create () in
+  let live_cap = 1_000 and quarantine = 500 and sweep_every = 250 in
+  let peak = ref 0 in
+  for key = 0 to 119_999 do
+    let now = Time.ms key in
+    Conntable.insert t ~key ~half_open:false key;
+    if key >= live_cap then
+      Conntable.retire t ~key:(key - live_cap) ~expiry:(Time.ms (key + quarantine));
+    if key mod sweep_every = 0 then ignore (Conntable.sweep t ~now);
+    peak := max !peak (Conntable.live_count t + Conntable.time_wait_count t)
+  done;
+  check_bool "never more than 1,000 live" true (Conntable.live_count t <= live_cap);
+  let cap = Conntable.capacity t in
+  if cap > 4 * !peak then
+    Alcotest.failf "capacity %d exceeds 4x the peak %d live + time-wait entries" cap
+      !peak
+
+(* ------------------------------------------------------------------ *)
+(* Bounded memory under churn: once sessions close and their time-wait
+   quarantine lapses, a dispatcher keeps nothing per session it has
+   served.  Live heap after [n] churned sessions, read while the run's
+   stack is still reachable. *)
+
+let churned_live_words n =
+  let stack = Adaptive.create_stack ~seed:5 () in
+  let client = Adaptive.add_host stack "client" in
+  let server = Adaptive.add_host stack "server" in
+  (* Churn's unconstrained LAN: every handshake and Fin gets through, so
+     each session really closes at both ends. *)
+  let lan =
+    Profiles.custom ~name:"lan" ~bandwidth_bps:1e9 ~propagation:(Time.us 50)
+      ~queue_pkts:4096 ~mtu:65535 ()
+  in
+  Adaptive.connect_hosts stack client server [ lan ];
+  Unites.set_session_cap stack.Adaptive.unites 100;
+  let engine = stack.Adaptive.engine and mantts = stack.Adaptive.mantts in
+  let lifetime = Time.ms 500 in
+  let acd =
+    Acd.make ~participants:[ server ]
+      ~qos:{ Qos.default with Qos.duration = Some lifetime }
+      ()
+  in
+  (* Each open schedules the next, so the engine holds a bounded number
+     of pending events however many sessions the run churns through. *)
+  let rec open_at i =
+    if i < n then
+      Engine.schedule_anon engine ~at:(Time.ms i) (fun () ->
+          let session = Mantts.open_session mantts ~src:client ~acd () in
+          Session.send session ~bytes:2_000 ();
+          Engine.schedule_anon engine ~at:(Time.add (Engine.now engine) lifetime)
+            (fun () -> Mantts.close_session mantts session);
+          open_at (i + 1))
+  in
+  open_at 0;
+  Adaptive.run stack;
+  List.iter
+    (fun host ->
+      let disp = Mantts.dispatcher (Mantts.entity mantts host) in
+      check_int "every session closed" 0 (Session.Dispatcher.session_count disp))
+    [ client; server ];
+  Gc.full_major ();
+  let words = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity stack);
+  words
+
+let test_churn_memory_bounded () =
+  let small = 4_000 and large = 16_000 in
+  let w_small = churned_live_words small in
+  let w_large = churned_live_words large in
+  let per_session =
+    float_of_int (w_large - w_small) /. float_of_int (large - small)
+  in
+  if per_session >= 1.0 then
+    Alcotest.failf "live heap grows %.2f words per extra churned session (%d -> %d)"
+      per_session w_small w_large
+
 (* ------------------------------------------------------------------ *)
 (* Demux integrity under churn: arbitrary interleavings of active opens,
    closes, data and late segments across >= 100 endpoints never mis-route
@@ -472,7 +552,11 @@ let test_wire_timewait_reanswer () =
 let suite =
   [
     ( "swarm.conntable",
-      List.map QCheck_alcotest.to_alcotest [ prop_conntable_matches_model ] );
+      List.map QCheck_alcotest.to_alcotest [ prop_conntable_matches_model ]
+      @ [
+          Alcotest.test_case "capacity follows entries held under churn" `Quick
+            test_conntable_capacity_bounded;
+        ] );
     ( "swarm.churn",
       List.map QCheck_alcotest.to_alcotest [ prop_churn_no_misroute_no_leak ] );
     ( "swarm.admission",
@@ -493,5 +577,7 @@ let suite =
           test_swarm_deterministic;
         Alcotest.test_case "wire-true churn re-answers retried Fins" `Quick
           test_wire_timewait_reanswer;
+        Alcotest.test_case "live heap stays flat as churned sessions accumulate"
+          `Quick test_churn_memory_bounded;
       ] );
   ]
