@@ -11,7 +11,7 @@
    wall-clock micro times [Conntable.find] at 100 / 1k / 10k live
    connections (p99 at 10k <= 2x the 100-session value); an overload
    phase under a too-small admission policy checks that every refused or
-   degraded open is accounted in UNITES.  Emits BENCH_swarm.json.
+   degraded open is accounted in UNITES.
 
    e13 spreads the churn across four partitions joined by a WAN and
    executes them over OCaml 5 domains with SHARD.  Per scale it reports
@@ -30,11 +30,7 @@
    ~10k/s so the live population stays flat, and a UNITES session cap
    folds the metric tail into one overflow bucket.  Each decade records
    events/s, sim-stage words/event, live heap after a forced major cycle
-   and the SHARD window counters.
-
-   e13 and e15 write sections of BENCH_megaswarm.json; whichever runs
-   last re-emits the file with every section produced so far in this
-   process. *)
+   and the SHARD window counters. *)
 
 open Adaptive_sim
 open Adaptive_core
@@ -60,9 +56,7 @@ type scale_result = {
   reports : string list;  (* rendered UNITES reports (e13/e15 only) *)
   render : render;  (* zero when the reports are not rendered *)
   elapsed_s : float;
-  gc : Util.gc_sample;
   minor_words_per_event : float;  (* sim stage, coordinating domain *)
-  total_minor_words_per_event : float;  (* whole run incl. setup/reduce *)
   heap_words_live : int;  (* live major words after a forced full cycle *)
 }
 
@@ -86,7 +80,9 @@ let run_scale ?(reports = false) cfg =
      after a bigger one pays rent on the predecessor's bloated major
      heap, and the x1-vs-xN wall comparison measures run order. *)
   Gc.compact ();
-  let outcome, gc = Util.gc_stage (fun () -> Churn.run ~clock:Unix.gettimeofday cfg) in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Churn.run cfg in
+  let elapsed_s = Unix.gettimeofday () -. t0 in
   (* The partitioned experiments keep the rendered reports (their parity
      witness) and let the repositories go: a decade's metric tables would
      otherwise dominate its live-heap measurement. *)
@@ -94,10 +90,7 @@ let run_scale ?(reports = false) cfg =
     if reports then (render_reports outcome, { outcome with Churn.unites = [] })
     else (([], { render_s = 0.0; render_words = 0.0; render_lines = 0 }), outcome)
   in
-  let per_event w =
-    if outcome.Churn.events_fired > 0 then w /. float_of_int outcome.Churn.events_fired
-    else 0.0
-  in
+  let sim_words = List.assoc "sim" outcome.Churn.stage_minor_words in
   Gc.full_major ();
   {
     sessions = cfg.Churn.sessions;
@@ -105,11 +98,11 @@ let run_scale ?(reports = false) cfg =
     outcome;
     reports;
     render;
-    elapsed_s = gc.Util.gs_wall_s;
-    gc;
+    elapsed_s;
     minor_words_per_event =
-      per_event (List.assoc "sim" outcome.Churn.stage_minor_words);
-    total_minor_words_per_event = per_event gc.Util.gs_minor_words;
+      (if outcome.Churn.events_fired > 0 then
+         sim_words /. float_of_int outcome.Churn.events_fired
+       else 0.0);
     heap_words_live = (Gc.quick_stat ()).Gc.heap_words;
   }
 
@@ -120,14 +113,12 @@ let per t w = if t = 0 then 0.0 else float_of_int w /. float_of_int t
 (* The workload's digest and the rendered UNITES reports must not depend
    on the shard count. *)
 let parity_check a b =
-  let digests_match = Int64.equal a.outcome.Churn.digest b.outcome.Churn.digest in
-  let unites_identical = a.reports = b.reports in
   Util.shape_check
     (Printf.sprintf "digest identical at --shards %d vs --shards %d (0x%Lx)"
        a.shards b.shards a.outcome.Churn.digest)
-    digests_match;
-  Util.shape_check "per-partition UNITES reports byte-identical" unites_identical;
-  (digests_match, unites_identical)
+    (Int64.equal a.outcome.Churn.digest b.outcome.Churn.digest);
+  Util.shape_check "per-partition UNITES reports byte-identical"
+    (a.reports = b.reports)
 
 (* -------------------------------------------------------------- e11 *)
 
@@ -224,7 +215,8 @@ let e11_swarm_scale () =
        fleet_sessions)
     fleet_ok;
 
-  (* Wall-clock demux micro: the O(1) criterion. *)
+  (* Wall-clock demux micro: the O(1) criterion, a single-shot timing
+     that prints but does not gate. *)
   let micro = List.map (fun live -> demux_micro ~live) scales in
   List.iter
     (fun m ->
@@ -235,7 +227,7 @@ let e11_swarm_scale () =
   let first = List.hd micro in
   let last = List.nth micro (List.length micro - 1) in
   let ratio = last.p99_ns /. first.p99_ns in
-  Util.shape_check
+  Util.timing_check
     (Printf.sprintf
        "demux p99 ns/op at %d sessions <= 2x the %d-session value (%.2fx)"
        last.live first.live ratio)
@@ -270,38 +262,7 @@ let e11_swarm_scale () =
   Util.shape_check "admissions accounted in UNITES swarm session"
     (counted Unites.Sessions_open = over.Churn.admitted);
   Util.shape_check "peak live sessions stayed under the hard threshold"
-    (over.Churn.peak_live <= policy.Mantts.hard_sessions);
-
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"experiment\": \"e11_swarm_scale\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"scales\": [\n"
-    seed !smoke;
-  List.iteri
-    (fun i (r, m) ->
-      let o = r.outcome in
-      Printf.bprintf buf
-        {|    { "sessions": %d, "sessions_per_sec": %.1f, "events_per_sec": %.1f,
-      "demux_probes_mean": %.4f, "demux_probes_p99": %.1f,
-      "demux_find_p50_ns": %.2f, "demux_find_p99_ns": %.2f,
-      "occupancy_p99": %.4f, "peak_live": %d, "table_capacity": %d,
-      "digest": "0x%Lx" }%s
-|}
-        r.sessions (per_sec r o.Churn.admitted) (events_per_sec r)
-        o.Churn.demux_probes_mean o.Churn.demux_probes_p99 m.p50_ns m.p99_ns
-        o.Churn.occupancy_p99 o.Churn.peak_live o.Churn.table_capacity
-        o.Churn.digest
-        (if i = List.length results - 1 then "" else ","))
-    (List.combine results micro);
-  Printf.bprintf buf
-    "  ],\n  \"micro_p99_ratio\": %.3f,\n  \"digest_stable\": %b,\n  \"fleet_jobs4_identical\": %b,\n"
-    ratio stable fleet_ok;
-  Printf.bprintf buf
-    "  \"overload\": { \"sessions\": %d, \"admitted\": %d, \"degraded\": %d, \"refused\": %d }\n}\n"
-    over_sessions over.Churn.admitted over.Churn.degraded over.Churn.refused;
-  let oc = open_out "BENCH_swarm.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  pf "  wrote BENCH_swarm.json@."
+    (over.Churn.peak_live <= policy.Mantts.hard_sessions)
 
 (* ------------------------------------------------- e13 / e15 common *)
 
@@ -325,72 +286,6 @@ let report_scale r =
   if r.render.render_lines > 0 then
     pf "           render: %d lines in %.3f s, %.0f words/line@."
       r.render.render_lines r.render.render_s (words_per_line r.render)
-
-let json_scale buf r =
-  let o = r.outcome in
-  Printf.bprintf buf
-    {|    { "sessions": %d, "shards": %d, "wall_s": %.6f,
-      "events": %d, "events_per_sec": %.1f,
-      "tick_cost": { "monitor_ticks": %d, "monitor_walked": %d,
-        "monitor_walked_per_tick": %.2f,
-        "tw_sweeps": %d, "tw_expired": %d, "tw_expired_per_sweep": %.2f,
-        "demux_probes_mean": %.4f },
-      "minor_words_per_event": %.1f,
-      "total_minor_words_per_event": %.1f,
-      "stage_minor_words": { %s },
-      "render": { "wall_s": %.6f, "minor_words": %.0f, "lines": %d,
-        "words_per_line": %.1f },
-      |}
-    r.sessions r.shards r.elapsed_s o.Churn.events_fired (events_per_sec r)
-    o.Churn.monitor_ticks o.Churn.monitor_walked
-    (per o.Churn.monitor_ticks o.Churn.monitor_walked)
-    o.Churn.tw_sweeps o.Churn.tw_expired
-    (per o.Churn.tw_sweeps o.Churn.tw_expired)
-    o.Churn.demux_probes_mean r.minor_words_per_event
-    r.total_minor_words_per_event
-    (String.concat ", "
-       (List.map
-          (fun (name, w) -> Printf.sprintf {|"%s": %.0f|} name w)
-          o.Churn.stage_minor_words))
-    r.render.render_s r.render.render_words r.render.render_lines
-    (words_per_line r.render);
-  Util.json_gc buf r.gc;
-  Printf.bprintf buf
-    {|,
-      "sync": { "windows": %d, "skipped_spans": %d,
-        "events_per_window": %.1f,
-        "shard_wall_s": [%s] },
-      "heap_words_live": %d,
-      "peak_live": %d, "wan_msgs": %d,
-      "digest": "0x%Lx" }|}
-    o.Churn.sync_windows o.Churn.sync_skipped
-    (per o.Churn.sync_windows o.Churn.events_fired)
-    (String.concat ", " (List.map (Printf.sprintf "%.4f") o.Churn.shard_wall_s))
-    r.heap_words_live o.Churn.peak_live o.Churn.wan_exchanged o.Churn.digest
-
-let json_scales buf results =
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      json_scale buf r)
-    results;
-  Buffer.add_string buf "\n"
-
-(* e13 and e15 each contribute top-level sections, each recording whether
-   it ran in smoke mode; whichever runs last writes the union observed so
-   far in this process. *)
-let e13_section : string option ref = ref None
-let giga_section : string option ref = ref None
-
-let write_bench_json () =
-  let sections = List.filter_map (fun r -> !r) [ e13_section; giga_section ] in
-  let oc = open_out "BENCH_megaswarm.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"megaswarm\",\n  \"cores_available\": %d,\n%s\n}\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" sections);
-  close_out oc;
-  pf "  wrote BENCH_megaswarm.json@."
 
 let alloc_ceiling_words_per_event = 150.0
 
@@ -466,15 +361,14 @@ let e13_megaswarm_scale () =
        ten_k.minor_words_per_event alloc_ceiling_words_per_event)
     (ten_k.minor_words_per_event <= alloc_ceiling_words_per_event);
 
-  let render_ok =
-    List.for_all (fun r -> words_per_line r.render <= render_ceiling_words_per_line) results
-  in
   Util.shape_check
     (Printf.sprintf
        "report rendering under %.0f words/line at every scale (%.0f at %d \
         sessions)"
        render_ceiling_words_per_line (words_per_line last.render) last.sessions)
-    render_ok;
+    (List.for_all
+       (fun r -> words_per_line r.render <= render_ceiling_words_per_line)
+       results);
 
   (* Shard parity at the pinned scale. *)
   let sharded =
@@ -482,46 +376,16 @@ let e13_megaswarm_scale () =
       (partitioned ~sessions:parity_sessions ~shards:parity_shards ~seed)
   in
   report_scale sharded;
-  let digests_match, unites_identical = parity_check ten_k sharded in
+  parity_check ten_k sharded;
 
   (* Honest speedup: only a real number when the hardware could have
-     delivered one.  The sync counters and per-shard wall times in the
-     JSON keep the barrier overhead visible even when speedup is null. *)
-  let speedup =
-    if cores < parity_shards || sharded.elapsed_s <= 0.0 then None
-    else Some (ten_k.elapsed_s /. sharded.elapsed_s)
-  in
-  (match speedup with
-  | Some s -> pf "  speedup %.2fx at %d shard(s)@." s parity_shards
-  | None ->
-    pf "  speedup: n/a (%d core(s) available < %d shard(s))@." cores parity_shards);
-
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "  \"e13\": {\n  \"smoke\": %b,\n  \"seed\": %d,\n  \"partitions\": 4,\n  \
-     \"estimator\": \"p2\",\n  \"scales\": [\n"
-    !smoke seed;
-  json_scales buf (results @ [ sharded ]);
-  Printf.bprintf buf
-    "  ],\n\
-    \  \"parity\": { \"sessions\": %d, \"shards\": [1, %d],\n\
-    \    \"digest\": \"0x%Lx\", \"digests_match\": %b,\n\
-    \    \"unites_byte_identical\": %b },\n"
-    parity_sessions parity_shards ten_k.outcome.Churn.digest digests_match
-    unites_identical;
-  (match speedup with
-  | Some s -> Printf.bprintf buf "  \"speedup\": %.3f\n  }" s
-  | None ->
-    Printf.bprintf buf
-      "  \"speedup\": null,\n  \"speedup_reason\": \"cores_available < \
-       jobs\"\n  }");
-  e13_section := Some (Buffer.contents buf);
-  write_bench_json ();
-  if
-    not
-      (digests_match && unites_identical && render_ok
-      && ten_k.minor_words_per_event <= alloc_ceiling_words_per_event)
-  then exit 1
+     delivered one. *)
+  if cores < parity_shards || sharded.elapsed_s <= 0.0 then
+    pf "  speedup: n/a (%d core(s) available < %d shard(s))@." cores parity_shards
+  else
+    pf "  speedup %.2fx at %d shard(s)@."
+      (ten_k.elapsed_s /. sharded.elapsed_s)
+      parity_shards
 
 (* ------------------------------------------------------------- e15 *)
 
@@ -574,35 +438,15 @@ let e15_gigaswarm () =
        (per_session last) last.sessions (per_session first) first.sessions
        (float_of_int last.heap_words_live *. 8.0 /. 1e6))
     (last.sessions = first.sessions || per_session last <= per_session first /. 4.0);
-  let alloc_ok =
-    last.minor_words_per_event
-    <= Float.max (1.5 *. first.minor_words_per_event) alloc_ceiling_words_per_event
-  in
   Util.shape_check
     (Printf.sprintf "hot-path allocation flat at scale (%.0f vs %.0f words/event)"
        last.minor_words_per_event first.minor_words_per_event)
-    alloc_ok;
+    (last.minor_words_per_event
+    <= Float.max (1.5 *. first.minor_words_per_event) alloc_ceiling_words_per_event);
   (* Parity spot-check on the smallest decade. *)
   let parity_shards = 2 in
   let parity =
     run_scale ~reports:true
       (giga_config ~sessions:first.sessions ~shards:parity_shards ~seed)
   in
-  let digests_match, unites_identical = parity_check first parity in
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "  \"gigaswarm\": {\n  \"smoke\": %b,\n  \"seed\": %d,\n  \"partitions\": 4,\n  \
-     \"session_cap\": 20000,\n  \"opens_per_sec\": 10000,\n  \"scales\": [\n"
-    !smoke seed;
-  json_scales buf (results @ [ parity ]);
-  Printf.bprintf buf
-    "  ],\n\
-    \  \"parity\": { \"sessions\": %d, \"shards\": [1, %d],\n\
-    \    \"digest\": \"0x%Lx\", \"digests_match\": %b,\n\
-    \    \"unites_byte_identical\": %b }\n\
-    \  }"
-    first.sessions parity_shards first.outcome.Churn.digest digests_match
-    unites_identical;
-  giga_section := Some (Buffer.contents buf);
-  write_bench_json ();
-  if not (digests_match && unites_identical && alloc_ok) then exit 1
+  parity_check first parity

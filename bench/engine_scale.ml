@@ -12,10 +12,10 @@
    - [wheel] — lib/sim's hierarchical timer wheel (the default backend);
    - [heap]  — the same engine forced onto its pure-heap backend.
 
-   Reports events/sec and minor-heap words allocated per fired event, and
-   emits BENCH_engine.json.  The comparison against the pre-wheel engine
-   this one replaced (34.8 words/event at 10k sessions, ~7500x the
-   wheel's) is a recorded result, not re-run: see DESIGN.md §7. *)
+   Reports events/sec and minor-heap words allocated per fired event.
+   The comparison against the pre-wheel engine this one replaced (34.8
+   words/event at 10k sessions, ~7500x the wheel's) is a recorded
+   result, not re-run: see DESIGN.md §7. *)
 
 open Adaptive_sim
 
@@ -30,7 +30,6 @@ module type ENGINE = sig
   val create : unit -> t
   val run : ?until:Time.t -> ?max_events:int -> t -> unit
   val events_fired : t -> int
-  val pending_events : t -> int
   val one_shot : t -> delay:Time.t -> (unit -> unit) -> timer
   val reschedule : timer -> delay:Time.t -> unit
 end
@@ -57,7 +56,6 @@ end
 
 type stats = {
   fired : int;
-  pending : int;
   elapsed_s : float;
   minor_words : float;
 }
@@ -125,7 +123,6 @@ module Churn (E : ENGINE) = struct
     let minor_words = Gc.minor_words () -. w0 in
     ( {
         fired = E.events_fired engine;
-        pending = E.pending_events engine;
         elapsed_s;
         minor_words;
       },
@@ -140,27 +137,6 @@ let pf = Format.printf
 let report name s =
   pf "  %-6s %9d events  %8.0f ev/s  %10.0f minor words  %6.2f words/event@."
     name s.fired (events_per_sec s) s.minor_words (words_per_event s)
-
-let json_backend buf name s extra =
-  Printf.bprintf buf
-    {|    { "name": %S, "events_fired": %d, "pending": %d, "elapsed_s": %.6f,
-      "events_per_sec": %.1f, "minor_words": %.0f, "words_per_event": %.3f%s }|}
-    name s.fired s.pending s.elapsed_s (events_per_sec s) s.minor_words
-    (words_per_event s) extra
-
-let wheel_extra engine =
-  let c = Engine.counters engine in
-  Printf.sprintf
-    {|,
-      "wheel_hit_rate": %.4f, "cancelled_ratio": %.4f,
-      "counters": { "timers_rearmed": %d, "wheel_inserts": %d,
-        "ready_inserts": %d, "overflow_inserts": %d, "wheel_cancels": %d,
-        "lazy_cancels": %d, "cascades": %d, "compactions": %d }|}
-    (Engine.wheel_hit_rate engine)
-    (Engine.cancelled_ratio engine)
-    c.Engine.timers_rearmed c.Engine.wheel_inserts c.Engine.ready_inserts
-    c.Engine.overflow_inserts c.Engine.wheel_cancels c.Engine.lazy_cancels
-    c.Engine.cascades c.Engine.compactions
 
 (* Microbenchmark: the bare timer re-arm path — a single self-rescheduling
    timer with a fixed short delay, no churn, no randomness in the loop. *)
@@ -207,16 +183,4 @@ let e8_engine_scale () =
     (Printf.sprintf "wheel steady state allocates < 1 word/event (%.3f)"
        (words_per_event wheel))
     (words_per_event wheel < 1.0);
-  micro_rearm ();
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"experiment\": \"e8_engine_scale\",\n  \"sessions\": %d,\n  \"events\": %d,\n  \"smoke\": %b,\n  \"backends\": [\n"
-    sessions fires !smoke;
-  json_backend buf "wheel" wheel (wheel_extra wheel_engine);
-  Buffer.add_string buf ",\n";
-  json_backend buf "heap" heap "";
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  pf "  wrote BENCH_engine.json@."
+  micro_rearm ()

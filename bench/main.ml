@@ -10,12 +10,16 @@
      dune exec bench/main.exe -- --only e3_fec
      dune exec bench/main.exe -- --list
 
-   [--smoke] shrinks the workloads that honor it (e8_engine_scale,
-   e9_chaos, e10_fleet_scale) so CI can exercise the harness quickly;
-   the [@bench-smoke], [@chaos-smoke] and [@fleet-smoke] dune aliases
-   run exactly that.  [--jobs N] shards the replication-style
-   experiments (e7, e9, e10) across N domains via FLEET; [--seeds
-   a,b,c] overrides the seed list the replication experiments sweep. *)
+   [--smoke] shrinks the workloads that honor it (e8-e15) so CI can
+   exercise the harness quickly; the eight [@*-smoke] dune aliases in
+   bench/dune run one experiment each that way.  [--jobs N] shards the
+   replication-style experiments (e7, e9, e10) across N domains via
+   FLEET; [--seeds a,b,c] overrides the seed list the replication
+   experiments sweep.
+
+   Every experiment prints [shape:] self-checks; the process exits 1
+   after its experiments if any check failed (checks on single-shot
+   wall-clock timings print but do not count). *)
 
 open Bench_harness
 
@@ -99,9 +103,8 @@ let () =
       action := `List;
       parse rest
     | "--only" :: id :: rest ->
-      (* Repeatable: experiments that contribute sections to a shared
-         artifact (e13 + e15 -> BENCH_megaswarm.json) can run in one
-         process. *)
+      (* Repeatable: several experiments run in one process, in the
+         order given. *)
       (action :=
          match !action with
          | `Only ids -> `Only (ids @ [ id ])
@@ -112,7 +115,7 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  match !action with
+  (match !action with
   | `List -> List.iter (fun (id, _) -> print_endline id) registry
   | `Only ids ->
     List.iter
@@ -126,4 +129,8 @@ let () =
   | `All ->
     Format.printf
       "ADAPTIVE reproduction — experiment harness (all tables, figures and claims)@.";
-    List.iter (fun (_, f) -> f ()) registry
+    List.iter (fun (_, f) -> f ()) registry);
+  if !Util.shape_failures > 0 then begin
+    Printf.eprintf "%d shape check(s) failed\n" !Util.shape_failures;
+    exit 1
+  end

@@ -165,7 +165,7 @@ let fig45_and_micro () =
   (* Static and one-indirection dispatch are within noise of each other on
      a modern OCaml compiler; the robust ordering claim is that the fully
      dynamic (table-lookup) binding costs the most. *)
-  Util.shape_check "synthesized dispatch costs the most"
+  Util.timing_check "synthesized dispatch costs the most"
     (dy >= st *. 0.95 && dy >= re *. 0.95);
-  Util.shape_check "segue is cheap relative to full synthesis"
+  Util.timing_check "segue is cheap relative to full synthesis"
     (find "tko/segue-swap" < 20.0 *. find "tko/synthesize" +. 1e6)

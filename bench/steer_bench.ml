@@ -18,9 +18,7 @@
    common horizon), the steered run's invariant checker — including the
    flap-cooldown oracle over the combined MANTTS/STEER switch stream —
    records zero violations, and a jobs=4 FLEET replay of the steered
-   configuration produces the sequential digest.
-
-   Emits BENCH_steer.json. *)
+   configuration produces the sequential digest. *)
 
 open Adaptive_sim
 open Adaptive_core
@@ -80,7 +78,6 @@ let pin_fec (scs : Scs.t) =
 type arm = {
   arm_name : string;
   outcome : Churn.outcome;
-  elapsed_s : float;
 }
 
 (* A constrained topology where configuration actually matters: a
@@ -117,11 +114,7 @@ let base_config ~sessions ~seed =
   }
 
 let run_arm ~sessions ~seed arm_name transform =
-  let cfg = transform (base_config ~sessions ~seed) in
-  let t0 = Unix.gettimeofday () in
-  let outcome = Churn.run cfg in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  { arm_name; outcome; elapsed_s }
+  { arm_name; outcome = Churn.run (transform (base_config ~sessions ~seed)) }
 
 let goodput_bps (o : Churn.outcome) =
   let dt = Time.to_sec o.Churn.sim_time in
@@ -203,47 +196,4 @@ let e14_steer () =
     (Printf.sprintf "jobs=4 fleet replay of the steered arm (%d sessions): all \
                      digests identical"
        fleet_sessions)
-    fleet_ok;
-
-  (* JSON emission. *)
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"experiment\": \"e14_steer\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \
-     \"sessions\": %d,\n  \"faults\": %d,\n  \"arms\": [\n"
-    seed !smoke sessions (List.length backdrop);
-  let arms = steered :: nosteer :: statics in
-  List.iteri
-    (fun i a ->
-      let o = a.outcome in
-      let swaps, blocked =
-        match o.Churn.steer_stats with Some sb -> sb | None -> (0, 0)
-      in
-      Printf.bprintf buf
-        {|    { "arm": "%s", "goodput_bytes": %d, "delivered_bytes": %d,
-      "goodput_bps": %.0f, "faults_injected": %d, "violations": %d,
-      "steer_swaps": %d, "steer_blocked": %d, "digest": "0x%Lx" }%s
-|}
-        a.arm_name o.Churn.goodput_bytes o.Churn.delivered_bytes (goodput_bps o)
-        o.Churn.faults_injected
-        (List.length o.Churn.violations)
-        swaps blocked o.Churn.digest
-        (if i = List.length arms - 1 then "" else ","))
-    arms;
-  let best_static =
-    List.fold_left
-      (fun acc a -> max acc a.outcome.Churn.goodput_bytes)
-      0 statics
-  in
-  Printf.bprintf buf
-    "  ],\n  \"steered_beats_every_static\": %b,\n  \
-     \"steered_over_best_static\": %.4f,\n  \"fleet_jobs4_identical\": %b\n}\n"
-    (List.for_all
-       (fun a -> steered_bytes > a.outcome.Churn.goodput_bytes)
-       statics)
-    (if best_static = 0 then 0.0
-     else float_of_int steered_bytes /. float_of_int best_static)
-    fleet_ok;
-  let oc = open_out "BENCH_steer.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  pf "  wrote BENCH_steer.json@."
+    fleet_ok

@@ -413,10 +413,22 @@ let network_arg =
     & opt network_conv Profiles.lan_path
     & info [ "n"; "network" ] ~docv:"NET" ~doc:"Network profile (see 'networks').")
 
+(* A simulated duration must be a positive, finite number of seconds:
+   zero, negative and nan durations are usage errors. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when x > 0.0 && Float.is_finite x -> Ok x
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "expected a positive, finite number, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let duration_arg =
   Arg.(
     value
-    & opt float 5.0
+    & opt positive_float 5.0
     & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc:"Simulated traffic duration.")
 
 let env_conv =
@@ -440,6 +452,15 @@ let positive_int =
     match Arg.conv_parser Arg.int s with
     | Ok n when n > 0 -> Ok n
     | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 0 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %s" s))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
@@ -628,10 +649,14 @@ let churn_config =
          partition pair gets a deterministic latency in [base, base + \
          spread], and SHARD synchronizes on the matching per-pair lookahead \
          matrix.  0 keeps the uniform WAN."
-    $ int_opt "cap" ~docv:"N" ~default:0
-        "Track at most N distinct sessions per partition in UNITES; the rest \
-         fold into one overflow bucket (totals preserved, digest \
-         unchanged).  0 disables the cap.")
+    $ Arg.(
+        value
+        & opt non_negative_int 0
+        & info [ "cap" ] ~docv:"N"
+            ~doc:
+              "Track at most N distinct sessions per partition in UNITES; \
+               the rest fold into one overflow bucket (totals preserved, \
+               digest unchanged).  0 disables the cap."))
 
 let fleet_cmd =
   Cmd.v

@@ -1354,8 +1354,8 @@ module Wire = struct
       Pdu.Parity { r with parity = Some (Adaptive_buf.Msg.detach m) }
     | pdu -> pdu
 
-  let install ?(buffers = 256) ?(buffer_bytes = 4096) net =
-    let pool = Adaptive_buf.Pool.create ~buffers ~size:buffer_bytes in
+  let install net =
+    let pool = Adaptive_buf.Pool.create ~buffers:256 ~size:4096 in
     let codec = Codec.wire_state () in
     let encode pdu bytes =
       let lease = Adaptive_buf.Pool.lease pool ~min_bytes:bytes in

@@ -239,12 +239,11 @@ module Wire : sig
   type handle
   (** A stack's wire-mode installation. *)
 
-  val install :
-    ?buffers:int -> ?buffer_bytes:int -> Pdu.t Network.t -> handle
+  val install : Pdu.t Network.t -> handle
   (** [install net] switches [net] to wire-true mode backed by a fresh
-      buffer pool of [buffers] (default 256) × [buffer_bytes] (default
-      4096) frames.  Oversized or overflow frames fall back to fresh
-      allocations, counted against the reuse rate. *)
+      buffer pool of 256 × 4096-byte frames.  Oversized or overflow
+      frames fall back to fresh allocations, counted against the reuse
+      rate. *)
 
   val report : handle -> report
   (** Read the wire whitebox counters. *)

@@ -62,18 +62,12 @@ let worker t () =
   in
   loop ()
 
-let create ?queue_bound ~jobs () =
+let create ~jobs () =
   if jobs <= 0 then invalid_arg "Pool.create: jobs must be positive";
-  let bound =
-    match queue_bound with
-    | Some b when b <= 0 -> invalid_arg "Pool.create: queue_bound must be positive"
-    | Some b -> b
-    | None -> 4 * jobs
-  in
   let t =
     {
       p_jobs = jobs;
-      p_bound = bound;
+      p_bound = 4 * jobs;
       p_mutex = Mutex.create ();
       p_nonempty = Condition.create ();
       p_nonfull = Condition.create ();
@@ -132,6 +126,6 @@ let shutdown t =
   Mutex.unlock t.p_mutex;
   List.iter Domain.join domains
 
-let with_pool ?queue_bound ~jobs f =
-  let t = create ?queue_bound ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

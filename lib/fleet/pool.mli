@@ -15,12 +15,12 @@
 type t
 (** A pool; owns its worker domains until {!shutdown}. *)
 
-val create : ?queue_bound:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs] worker domains when [jobs > 1],
-    none otherwise.  [queue_bound] (default [4 * jobs]) bounds the
-    backlog of accepted thunks; a full queue makes {!submit} block, so
-    memory for an enormous campaign stays proportional to [jobs], not
-    to the campaign.  [jobs] must be positive ([Invalid_argument]). *)
+    none otherwise.  The backlog of accepted thunks is bounded at
+    [4 * jobs]; a full queue makes {!submit} block, so memory for an
+    enormous campaign stays proportional to [jobs], not to the
+    campaign.  [jobs] must be positive ([Invalid_argument]). *)
 
 val jobs : t -> int
 (** The parallelism this pool was created with. *)
@@ -40,6 +40,6 @@ val shutdown : t -> unit
 (** Run every queued task to completion, then join the worker domains.
     Idempotent; further {!submit}s raise. *)
 
-val with_pool : ?queue_bound:int -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
     afterwards, whether [f] returns or raises. *)

@@ -56,17 +56,18 @@ module Receiver = struct
     groups : (int, pending) Hashtbl.t; (* pending parity, keyed by start *)
     payloads : (int, string) Hashtbl.t; (* recent payload bytes by seq *)
     order : int Queue.t; (* eviction order for [payloads] *)
-    cache_cap : int;
     mutable recovered_count : int;
   }
 
-  let create ?(payload_cache = 256) () =
+  (* Recent segment payloads retained for byte-level reconstruction. *)
+  let cache_cap = 256
+
+  let create () =
     {
       seen = Hashtbl.create 64;
       groups = Hashtbl.create 8;
       payloads = Hashtbl.create 64;
       order = Queue.create ();
-      cache_cap = payload_cache;
       recovered_count = 0;
     }
 
@@ -75,8 +76,8 @@ module Receiver = struct
     match seg.Pdu.payload with
     | None -> ()
     | Some m ->
-      if t.cache_cap > 0 && not (Hashtbl.mem t.payloads seg.Pdu.seq) then begin
-        if Queue.length t.order >= t.cache_cap then begin
+      if not (Hashtbl.mem t.payloads seg.Pdu.seq) then begin
+        if Queue.length t.order >= cache_cap then begin
           let old = Queue.pop t.order in
           Hashtbl.remove t.payloads old
         end;

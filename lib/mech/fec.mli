@@ -46,10 +46,10 @@ module Receiver : sig
   type t
   (** Receiver-side reconstruction state. *)
 
-  val create : ?payload_cache:int -> unit -> t
-  (** Fresh state.  [payload_cache] (default 256) bounds how many recent
-      segment payloads are retained for byte-level reconstruction; groups
-      whose members have been evicted still reconstruct metadata. *)
+  val create : unit -> t
+  (** Fresh state.  The 256 most recent segment payloads are retained
+      for byte-level reconstruction; groups whose members have been
+      evicted still reconstruct metadata. *)
 
   val on_data : t -> Pdu.seg -> Pdu.seg list
   (** Note a received data segment.  May complete a previously received

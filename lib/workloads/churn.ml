@@ -80,6 +80,14 @@ let validate cfg =
       (Time.compare cfg.wan_spread Time.zero >= 0, "wan_spread must be >= 0");
       ( (match cfg.session_cap with Some cap -> cap > 0 | None -> true),
         "session_cap must be positive" );
+      ( (match cfg.admission with
+        | Some p ->
+          0 <= p.Mantts.soft_sessions
+          && p.Mantts.soft_sessions <= p.Mantts.hard_sessions
+          && Time.compare p.Mantts.max_cpu_backlog Time.zero >= 0
+        | None -> true),
+        "admission policy needs 0 <= soft_sessions <= hard_sessions and \
+         max_cpu_backlog >= 0" );
       (cfg.link_bps > 0.0, "link_bps must be positive");
       (cfg.link_mtu > 0, "link_mtu must be positive");
       (cfg.link_queue_pkts > 0, "link_queue_pkts must be positive");
@@ -130,7 +138,6 @@ type outcome = {
   tw_expired : int;
   sync_windows : int;
   sync_skipped : int;
-  shard_wall_s : float list;
   stage_minor_words : (string * float) list;
   wire_report : Session.Wire.report option;
   steer_stats : (int * int) option;
@@ -469,7 +476,7 @@ let schedule_opens cfg p =
     g := !g + cfg.partitions
   done
 
-let run ?clock cfg =
+let run cfg =
   let cfg =
     match validate cfg with Ok c -> c | Error msg -> invalid_arg ("Churn.run: " ^ msg)
   in
@@ -500,7 +507,7 @@ let run ?clock cfg =
     Shard.create
       ~pair_lookahead:(pair_latency cfg)
       ~next_deadline:(fun i -> Engine.next_deadline (engine i))
-      ?clock ~lookahead:cfg.wan_latency ~partitions:cfg.partitions
+      ~lookahead:cfg.wan_latency ~partitions:cfg.partitions
       ~run_to:(fun i until -> Engine.run ~until (engine i))
       ~drain:(fun i ->
         let msgs = List.rev parts.(i).outbox in
@@ -609,7 +616,6 @@ let run ?clock cfg =
       tw_expired = sum (tw_sum snd);
       sync_windows = sync.Shard.windows;
       sync_skipped = sync.Shard.skipped_spans;
-      shard_wall_s = Array.to_list sync.Shard.shard_wall_s;
       stage_minor_words = [];
       wire_report;
       steer_stats =

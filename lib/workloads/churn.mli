@@ -116,8 +116,9 @@ val validate : config -> (config, string) result
 (** Reject a configuration the workload cannot run: a non-positive
     session count, payload, [wan_latency], session cap, link or host
     figure; fewer than one partition or shard; a negative churn round
-    count, open window, share or [wan_spread]; or wire-true mode
-    together with cross-partition sessions. *)
+    count, open window, share or [wan_spread]; an admission policy
+    unless [0 <= soft_sessions <= hard_sessions] and [max_cpu_backlog
+    >= 0]; or wire-true mode together with cross-partition sessions. *)
 
 type outcome = {
   offered : int;  (** Open attempts (including churn reopens). *)
@@ -156,9 +157,6 @@ type outcome = {
   tw_expired : int;  (** Time-wait entries those sweeps expired. *)
   sync_windows : int;  (** SHARD barrier windows executed. *)
   sync_skipped : int;  (** Empty spans jumped by the skip fast path. *)
-  shard_wall_s : float list;
-      (** Wall seconds each shard spent inside partition windows, in
-          shard order; all zeros unless {!run} was given a clock. *)
   stage_minor_words : (string * float) list;
       (** Minor words allocated on the coordinating domain per run
           stage, in order: ["build"], ["schedule"], ["sim"], ["reduce"].
@@ -178,11 +176,10 @@ type outcome = {
   unites : Unites.t list;  (** Metric repositories, in partition order. *)
 }
 
-val run : ?clock:(unit -> float) -> config -> outcome
+val run : config -> outcome
 (** Build the partitions, run them to the horizon under barrier-window
     synchronization, and reduce.  Deterministic in the configuration and
-    independent of [shards].  [clock] (e.g. [Unix.gettimeofday]) fills
-    [shard_wall_s] without making this library depend on unix.  Raises
+    independent of [shards].  Raises
     [Invalid_argument] with {!validate}'s message on a rejected
     configuration. *)
 

@@ -493,6 +493,30 @@ let steer_swarm_output () =
 let test_steer_swarm () =
   check_golden "steered swarm report" steer_swarm_golden (steer_swarm_output ())
 
+(* The harness gate: main.exe exits 1 when [Util.shape_failures] is
+   non-zero, so a failing check must be counted and a passing one, or a
+   non-gating timing check, must not. *)
+let test_shape_gate () =
+  let module U = Bench_harness.Util in
+  let before = !U.shape_failures in
+  let out =
+    U.with_captured (fun () ->
+        U.shape_check "passes" true;
+        Alcotest.(check int) "a passing check is not counted" before
+          !U.shape_failures;
+        U.shape_check "fails" false;
+        Alcotest.(check int) "a failing check is counted" (before + 1)
+          !U.shape_failures;
+        U.timing_check "noisy timing" false;
+        Alcotest.(check int) "a timing check does not gate" (before + 1)
+          !U.shape_failures)
+  in
+  U.shape_failures := before;
+  Alcotest.(check string) "line format unchanged"
+    (Printf.sprintf "shape: %-58s OK\nshape: %-58s MISMATCH\nshape: %-58s MISMATCH\n"
+       "passes" "fails" "noisy timing")
+    out
+
 let suite =
   [
     ( "golden",
@@ -506,5 +530,6 @@ let suite =
           test_wire_swarm;
         Alcotest.test_case "steered swarm report is pinned" `Quick
           test_steer_swarm;
+        Alcotest.test_case "shape checks count failures" `Quick test_shape_gate;
       ] );
   ]
