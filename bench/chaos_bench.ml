@@ -19,7 +19,7 @@ let e9_chaos () =
     schedules seed
     (String.concat ", " (List.map Soak.environment_name Soak.all_environments))
     jobs;
-  let report = Soak.soak_par ~jobs ~seed ~schedules () in
+  let report = Soak.soak ~jobs ~seed ~schedules () in
   let outcomes = report.Soak.r_outcomes in
   let injected =
     List.fold_left (fun acc o -> acc + o.Soak.o_injected) 0 outcomes

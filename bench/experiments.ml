@@ -509,7 +509,7 @@ let e7_replicate () =
     (* --jobs shards the per-seed replicas across domains; --seeds
        overrides the replication seed list.  The reduction is ordered,
        so jobs > 1 changes nothing but wall-clock. *)
-    Lab.replicate_par ~jobs:!Util.jobs ~seeds:(Util.replication_seeds ())
+    Lab.replicate ~jobs:!Util.jobs ~seeds:(Util.replication_seeds ())
       (fun ~seed -> goodput ~recovery ~reporting ~level ~seed)
   in
   let rows =

@@ -29,7 +29,7 @@ type run = {
 
 let measure ~jobs ~seed ~schedules =
   let t0 = wall () in
-  let report = Soak.soak_par ~jobs ~seed ~schedules () in
+  let report = Soak.soak ~jobs ~seed ~schedules () in
   let r_wall_s = wall () -. t0 in
   let outcomes = report.Soak.r_outcomes in
   {

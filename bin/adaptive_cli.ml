@@ -6,8 +6,8 @@
      classify  -a APP -n NET   run MANTTS stages I+II and print the result
      run       -a APP -n NET   simulate the application over the network
                                and print the UNITES report
-     chaos                     randomized fault-injection soaks
-     fleet                     seeds x environments campaign across domains
+     chaos                     randomized fault-injection soaks, optionally
+                               sharded across domains (--jobs)
      churn                     many-session churn, optionally partitioned
                                across domains
 
@@ -153,7 +153,7 @@ let run_chaos schedules seed seeds env sabotage jobs =
       (if Soak.ok o then "ok" else "VIOLATION")
   in
   let report =
-    Soak.soak_par ~sabotage ~environments ?seeds ~progress ~jobs ~seed
+    Soak.soak ~sabotage ~environments ?seeds ~progress ~jobs ~seed
       ~schedules ()
   in
   let injected =
@@ -191,96 +191,6 @@ let run_chaos schedules seed seeds env sabotage jobs =
         s.Soak.s_runs Soak.pp_repro s.Soak.s_outcome)
     report.Soak.r_failures;
   if report.Soak.r_failures = [] then `Ok () else `Error (false, "invariant violations found")
-
-(* --------------------------------------------------------------- fleet *)
-
-(* A campaign spec: the chaos scenario replicated over a seed list and
-   an environment grid, sharded across domains by FLEET, reduced in
-   canonical (seed, env) order.  Unless --no-baseline is given, the same
-   grid also runs sequentially and the parallel output is checked
-   byte-for-byte against it — campaign digest and every rendered UNITES
-   report — before the speedup is printed. *)
-let run_fleet replicas seed seeds env jobs no_baseline =
-  let module Soak = Adaptive_chaos.Soak in
-  let module Fleet = Adaptive_fleet.Fleet in
-  let envs = match env with None -> Soak.all_environments | Some e -> [ e ] in
-  let seeds =
-    match seeds with
-    | Some l -> l
-    | None -> Fleet.seeds_of ~master:seed ~n:replicas
-  in
-  let campaign =
-    {
-      Fleet.name = "chaos";
-      seeds;
-      envs;
-      run = (fun ~seed ~env ~index:_ -> Soak.run_one ~env ~seed ());
-    }
-  in
-  Format.printf "fleet campaign %S: %d seed(s) x %d environment(s) = %d task(s), %d job(s)@."
-    campaign.Fleet.name (List.length seeds) (List.length envs)
-    (Fleet.task_count campaign) jobs;
-  let execute ~jobs ~progress =
-    let t0 = Unix.gettimeofday () in
-    let results = Fleet.run_campaign ?progress ~jobs campaign in
-    (Unix.gettimeofday () -. t0, results)
-  in
-  let progress (r : (Soak.environment, Soak.outcome) Fleet.task_result) =
-    let o = r.Fleet.t_result in
-    Format.printf "  task %3d  seed=%-18d env=%-9s faults=%2d delivered=%5d  %s@."
-      r.Fleet.t_index r.Fleet.t_seed
-      (Soak.environment_name r.Fleet.t_env)
-      o.Soak.o_injected o.Soak.o_delivered
-      (if Soak.ok o then "ok" else "VIOLATION")
-  in
-  let wall, results = execute ~jobs ~progress:(Some progress) in
-  let outcomes = List.map (fun r -> r.Fleet.t_result) results in
-  let digest = Fleet.combine_hashes (List.map (fun o -> o.Soak.o_hash) outcomes) in
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-  let events = sum (fun o -> o.Soak.o_events) in
-  let violations = List.filter (fun o -> not (Soak.ok o)) outcomes in
-  Format.printf
-    "@.%d task(s) in %.3f s wall (%.0f events/s): %d fault(s), %d delivery(ies), \
-     %d failover(s), %d switch(es), %d violation(s)@.campaign digest 0x%016Lx@."
-    (List.length results) wall
-    (if wall > 0.0 then float_of_int events /. wall else 0.0)
-    (sum (fun o -> o.Soak.o_injected))
-    (sum (fun o -> o.Soak.o_delivered))
-    (sum (fun o -> o.Soak.o_failovers))
-    (sum (fun o -> o.Soak.o_switches))
-    (List.length violations) digest;
-  List.iter
-    (fun o -> Format.printf "@.VIOLATION:@.%a@." Soak.pp_repro o)
-    violations;
-  let deterministic =
-    if no_baseline || jobs <= 1 then true
-    else begin
-      Format.printf "@.baseline: re-running sequentially for the determinism check...@.";
-      let wall1, results1 = execute ~jobs:1 ~progress:None in
-      let outcomes1 = List.map (fun r -> r.Fleet.t_result) results1 in
-      let digest1 =
-        Fleet.combine_hashes (List.map (fun o -> o.Soak.o_hash) outcomes1)
-      in
-      let mismatches =
-        Fleet.check_identical
-          (List.mapi (fun i o -> (i, o.Soak.o_unites)) outcomes1)
-          (List.mapi (fun i o -> (i, o.Soak.o_unites)) outcomes)
-      in
-      let identical = Int64.equal digest digest1 && mismatches = [] in
-      Format.printf
-        "baseline %.3f s wall; speedup %.2fx; digests %s; UNITES reports %s@."
-        wall1
-        (if wall > 0.0 then wall1 /. wall else 0.0)
-        (if Int64.equal digest digest1 then "match" else "DIFFER")
-        (if mismatches = [] then "byte-identical"
-         else Printf.sprintf "DIFFER at %d task(s)" (List.length mismatches));
-      identical
-    end
-  in
-  if violations <> [] then `Error (false, "invariant violations found")
-  else if not deterministic then
-    `Error (false, "parallel run diverged from sequential baseline")
-  else `Ok ()
 
 (* --------------------------------------------------------------- churn *)
 
@@ -445,7 +355,7 @@ let env_conv =
   in
   Arg.conv (parse, print)
 
-(* Run, replica and domain counts: zero or a negative count is a usage
+(* Run and domain counts: zero or a negative count is a usage
    error (exit 124 with a message), not an exception deep inside a run. *)
 let positive_int =
   let parse s =
@@ -502,30 +412,25 @@ let jobs_arg =
           "Shard runs across $(docv) domains via FLEET; output is \
            byte-identical to --jobs 1.")
 
+(* An explicit seed list names at least one seed: [--seeds=] is a usage
+   error, not a zero-run soak.  Repeats are legal — the environment
+   cycles by run index, so a repeated seed runs in another environment. *)
+let seed_list =
+  let parse s =
+    match Arg.conv_parser Arg.(list int) s with
+    | Ok [] -> Error (`Msg "expected at least one seed")
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.(list int))
+
 let seeds_arg =
   Arg.(
     value
-    & opt (some (list int)) None
+    & opt (some seed_list) None
     & info [ "seeds" ] ~docv:"S1,S2,..."
         ~doc:
           "Explicit comma-separated seed list, overriding the derived \
            seeds (and the run count).")
-
-let replicas_arg =
-  Arg.(
-    value
-    & opt positive_int 12
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:"Seeds on the campaign's replication axis (unless --seeds).")
-
-let no_baseline_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-baseline" ]
-        ~doc:
-          "Skip the sequential re-run that proves the parallel output \
-           byte-identical and measures speedup.")
 
 let apps_cmd =
   Cmd.v (Cmd.info "apps" ~doc:"List the Table 1 application workloads")
@@ -658,18 +563,6 @@ let churn_config =
                the rest fold into one overflow bucket (totals preserved, \
                digest unchanged).  0 disables the cap."))
 
-let fleet_cmd =
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run a seeds-x-environments campaign sharded across domains by \
-          FLEET; print the aggregated report, prove the parallel output \
-          byte-identical to a sequential run, and report the speedup")
-    Term.(
-      ret
-        (const run_fleet $ replicas_arg $ seed_arg $ seeds_arg $ env_arg
-       $ jobs_arg $ no_baseline_arg))
-
 let churn_cmd =
   Cmd.v
     (Cmd.info "churn"
@@ -694,6 +587,6 @@ let main =
   Cmd.group
     (Cmd.info "adaptive_cli" ~version:"1.0"
        ~doc:"The ADAPTIVE transport system reproduction")
-    [ apps_cmd; networks_cmd; classify_cmd; run_cmd; chaos_cmd; fleet_cmd; churn_cmd ]
+    [ apps_cmd; networks_cmd; classify_cmd; run_cmd; chaos_cmd; churn_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -272,7 +272,7 @@ type report = {
 
 (* The soak's run list: seed [seed + i] unless an explicit seed list
    overrides it (the CLI's --seeds flag), environment cycling through
-   [environments] either way. *)
+   [environments] by run index either way. *)
 let run_grid ~environments ~seeds ~seed ~schedules =
   let run_seeds =
     match seeds with
@@ -280,66 +280,33 @@ let run_grid ~environments ~seeds ~seed ~schedules =
     | None -> Array.init schedules (fun i -> seed + i)
   in
   Array.mapi
-    (fun i s -> (i, s, List.nth environments (i mod List.length environments)))
+    (fun i s -> (s, List.nth environments (i mod List.length environments)))
     run_seeds
 
 let soak ?(sabotage = false) ?wire ?(environments = all_environments) ?seeds
-    ?progress ~seed ~schedules () =
+    ?progress ~jobs ~seed ~schedules () =
   if environments = [] then invalid_arg "Soak.soak: no environments";
-  let grid = run_grid ~environments ~seeds ~seed ~schedules in
-  let outcomes = ref [] and failures = ref [] in
-  Array.iter
-    (fun (i, run_seed, env) ->
-      let o = run_one ~sabotage ?wire ~env ~seed:run_seed () in
-      outcomes := o :: !outcomes;
-      (match progress with Some f -> f i o | None -> ());
-      if not (ok o) then
-        failures :=
-          (o, shrink ~sabotage ?wire ~env ~seed:run_seed o.o_schedule)
-          :: !failures)
-    grid;
+  (* Each task is a complete isolated run: fresh stack, fresh engine,
+     fresh RNGs; the shrinker for a failing run executes inside the same
+     task, so the report needs no cross-task state. *)
+  let settled =
+    Adaptive_fleet.Fleet.map ~jobs
+      (fun (run_seed, env) ->
+        let o = run_one ~sabotage ?wire ~env ~seed:run_seed () in
+        let s =
+          if ok o then None
+          else Some (shrink ~sabotage ?wire ~env ~seed:run_seed o.o_schedule)
+        in
+        (o, s))
+      (run_grid ~environments ~seeds ~seed ~schedules)
+  in
+  (* Reduce in run order: progress lines, outcome order and failure
+     order are the same at every job count, byte for byte. *)
+  Option.iter (fun f -> Array.iteri (fun i (o, _) -> f i o) settled) progress;
+  let settled = Array.to_list settled in
   {
-    r_runs = Array.length grid;
-    r_outcomes = List.rev !outcomes;
-    r_failures = List.rev !failures;
+    r_runs = List.length settled;
+    r_outcomes = List.map fst settled;
+    r_failures =
+      List.filter_map (fun (o, s) -> Option.map (fun s -> (o, s)) s) settled;
   }
-
-let soak_par ?(sabotage = false) ?wire ?(environments = all_environments)
-    ?seeds ?progress ?pool ~jobs ~seed ~schedules () =
-  if environments = [] then invalid_arg "Soak.soak_par: no environments";
-  if jobs <= 1 && Option.is_none pool then
-    (* Exactly the sequential path — the byte-identity reference. *)
-    soak ~sabotage ?wire ~environments ?seeds ?progress ~seed ~schedules ()
-  else begin
-    let grid = run_grid ~environments ~seeds ~seed ~schedules in
-    (* Each task is a complete isolated run: fresh stack, fresh engine,
-       fresh RNGs; the shrinker for a failing run executes inside the
-       same task, so the report needs no cross-task state. *)
-    let settled =
-      Adaptive_fleet.Fleet.map ?pool ~jobs
-        (fun (_, run_seed, env) ->
-          let o = run_one ~sabotage ?wire ~env ~seed:run_seed () in
-          let s =
-            if ok o then None
-            else Some (shrink ~sabotage ?wire ~env ~seed:run_seed o.o_schedule)
-          in
-          (o, s))
-        grid
-    in
-    (* Reduce in canonical run order: progress lines, outcome order and
-       failure order all match the sequential soak byte for byte. *)
-    let outcomes = ref [] and failures = ref [] in
-    Array.iteri
-      (fun i (o, s) ->
-        outcomes := o :: !outcomes;
-        (match progress with Some f -> f i o | None -> ());
-        match s with
-        | Some shrunk -> failures := (o, shrunk) :: !failures
-        | None -> ())
-      settled;
-    {
-      r_runs = Array.length grid;
-      r_outcomes = List.rev !outcomes;
-      r_failures = List.rev !failures;
-    }
-  end

@@ -105,6 +105,7 @@ val soak :
   ?environments:environment list ->
   ?seeds:int list ->
   ?progress:(int -> outcome -> unit) ->
+  jobs:int ->
   seed:int ->
   schedules:int ->
   unit ->
@@ -112,26 +113,15 @@ val soak :
 (** Run [schedules] seeded runs — seed [seed + i], environment cycling
     through [environments] (default {!all_environments}) — shrinking
     every failure.  [seeds] overrides the derived seed list entirely
-    (run [i] uses the [i]th listed seed; [schedules] is then ignored). *)
+    (run [i] uses the [i]th listed seed; [schedules] is then ignored).
 
-val soak_par :
-  ?sabotage:bool ->
-  ?wire:bool ->
-  ?environments:environment list ->
-  ?seeds:int list ->
-  ?progress:(int -> outcome -> unit) ->
-  ?pool:Adaptive_fleet.Pool.t ->
-  jobs:int ->
-  seed:int ->
-  schedules:int ->
-  unit ->
-  report
-(** {!soak} sharded across [jobs] domains by FLEET.  Every run is an
-    isolated task (own engine, RNGs, stack); a failing run shrinks
-    inside its own task; results are reduced in run order, so the
-    report — outcome order, failure order and [progress] callbacks —
-    is byte-identical to the sequential {!soak}.  [jobs <= 1] without
-    a [pool] {e is} the sequential {!soak}. *)
+    The runs are sharded across [jobs] domains by [Fleet.map].  Every
+    run is an isolated task (own engine, RNGs, stack); a failing run
+    shrinks inside its own task; results are reduced in run order once
+    the batch settles, so the report — outcome order, failure order and
+    [progress] callbacks — is byte-identical at every [jobs].  Raises
+    [Invalid_argument "Soak.soak: no environments"] on an empty
+    [environments]. *)
 
 val duration : Time.t
 (** How long each run's applications generate traffic (16 s); the

@@ -20,10 +20,7 @@ type 'a t = {
   mutable half : int;
   mutable waiting : int;
   mutable tombs : int;
-  mutable lookups : int;
-  mutable total_probes : int;
   mutable last_probes : int;
-  mutable max_probes : int;
   (* Time-wait FIFO: [retire] appends (key, expiry) to a ring so the
      sweeper pops expired entries from the front — O(expired) per sweep
      instead of a full O(capacity) slot scan.  Expiries are pushed in
@@ -50,10 +47,7 @@ let create ?(initial_capacity = 16) () =
     half = 0;
     waiting = 0;
     tombs = 0;
-    lookups = 0;
-    total_probes = 0;
     last_probes = 0;
-    max_probes = 0;
     twq_keys = Array.make 16 0;
     twq_exp = Array.make 16 Time.zero;
     twq_head = 0;
@@ -66,9 +60,6 @@ let half_open_count t = t.half
 let time_wait_count t = t.waiting
 let occupancy t = float_of_int (t.live + t.waiting) /. float_of_int (capacity t)
 let last_probes t = t.last_probes
-let total_probes t = t.total_probes
-let lookups t = t.lookups
-let max_probes t = t.max_probes
 
 (* Fibonacci-style multiplicative hash: connection ids are small dense
    integers, so a plain mask would cluster them into consecutive slots. *)
@@ -92,10 +83,7 @@ let find t key =
       incr probes
     end
   done;
-  t.lookups <- t.lookups + 1;
-  t.total_probes <- t.total_probes + !probes;
   t.last_probes <- !probes;
-  if !probes > t.max_probes then t.max_probes <- !probes;
   !result
 
 (* Same probe loop as [find] but without touching the demux telemetry:

@@ -96,7 +96,3 @@ val occupancy : 'a t -> float
 
 val last_probes : 'a t -> int
 (** Probe count of the most recent [find] — 1 for a first-slot hit. *)
-
-val total_probes : 'a t -> int
-val lookups : 'a t -> int
-val max_probes : 'a t -> int

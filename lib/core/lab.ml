@@ -36,14 +36,11 @@ let summarize values =
     half_width = (if n < 2 then 0.0 else 2.0 *. stddev /. sqrt (float_of_int n));
   }
 
-let replicate ~seeds f =
+let replicate ~jobs ~seeds f =
   validate_seeds ~what:"Lab.replicate" seeds;
-  summarize (List.map (fun seed -> f ~seed) seeds)
-
-let replicate_par ?pool ~jobs ~seeds f =
-  validate_seeds ~what:"Lab.replicate_par" seeds;
   summarize
-    (Adaptive_fleet.Fleet.map_list ?pool ~jobs (fun seed -> f ~seed) seeds)
+    (Array.to_list
+       (Adaptive_fleet.Fleet.map ~jobs (fun seed -> f ~seed) (Array.of_list seeds)))
 
 let default_seeds = [ 11; 211; 3011; 40111; 500111 ]
 

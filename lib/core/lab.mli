@@ -20,23 +20,15 @@ type replication = {
                            ([2 sd / sqrt n]; 0 for n < 2). *)
 }
 
-val replicate : seeds:int list -> (seed:int -> float) -> replication
-(** Run the scenario once per seed and summarize.  [seeds] must be
-    non-empty and duplicate-free — a repeated seed would silently count
-    the same deterministic replica twice ([Invalid_argument]). *)
-
-val replicate_par :
-  ?pool:Adaptive_fleet.Pool.t ->
-  jobs:int ->
-  seeds:int list ->
-  (seed:int -> float) ->
-  replication
-(** {!replicate} with the per-seed runs sharded across [jobs] domains
-    by FLEET.  [f] must be self-contained (build its own stack from
-    [seed]; share no simulator state).  Values are reduced in seed
-    order, so the resulting record is bit-identical to the sequential
-    {!replicate} — including the float summation order behind [mean]
-    and [stddev]. *)
+val replicate : jobs:int -> seeds:int list -> (seed:int -> float) -> replication
+(** Run the scenario once per seed, sharded across [jobs] domains by
+    [Fleet.map], and summarize.  [f] must be self-contained (build its
+    own stack from [seed]; share no simulator state).  Values are
+    reduced in seed order, so the record is bit-identical at every
+    [jobs] — including the float summation order behind [mean] and
+    [stddev].  [seeds] must be non-empty and duplicate-free — a repeated
+    seed would silently count the same deterministic replica twice
+    ([Invalid_argument]). *)
 
 val default_seeds : int list
 (** Five fixed seeds used by the replication experiments. *)

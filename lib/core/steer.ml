@@ -96,7 +96,6 @@ let create ?(policy = default_policy) mantts =
   }
 
 let policy t = t.pol
-let watched t = t.len - t.dead
 let swaps t = List.rev t.swap_log
 let swap_count t = t.n_swaps
 let blocked_count t = t.n_blocked

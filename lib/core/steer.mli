@@ -77,9 +77,6 @@ val watch : t -> ?loss_tolerant:bool -> Session.t -> unit
     Statically bound sessions ({!Tko.Static_template}) cannot segue and
     are ignored. *)
 
-val watched : t -> int
-(** Live watches (closed sessions are compacted away lazily). *)
-
 val swaps : t -> (Time.t * int * string) list
 (** Every swap STEER applied: time, session id, description — oldest
     first.  Descriptions of component switches start with ["switch "];

@@ -3,70 +3,16 @@ module Pool = Pool
 
 (* --------------------------------------------------------------- map *)
 
-let map_on pool f arr =
-  let futures = Array.map (fun x -> Pool.submit pool (fun () -> f x)) arr in
-  (* Await in input order: the reduction point where parallel execution
-     becomes order-preserving again. *)
-  Array.map Pool.await futures
+let map ~jobs f arr =
+  if Array.length arr = 0 then [||]
+  else
+    Pool.with_pool ~jobs (fun pool ->
+        let futures = Array.map (fun x -> Pool.submit pool (fun () -> f x)) arr in
+        (* Await in input order: the reduction point where parallel
+           execution becomes order-preserving again. *)
+        Array.map Pool.await futures)
 
-let map ?pool ~jobs f arr =
-  match pool with
-  | Some p -> map_on p f arr
-  | None ->
-    if Array.length arr = 0 then [||]
-    else Pool.with_pool ~jobs (fun p -> map_on p f arr)
-
-let map_list ?pool ~jobs f l =
-  Array.to_list (map ?pool ~jobs f (Array.of_list l))
-
-(* ---------------------------------------------------------- campaigns *)
-
-type ('env, 'r) campaign = {
-  name : string;
-  seeds : int list;
-  envs : 'env list;
-  run : seed:int -> env:'env -> index:int -> 'r;
-}
-
-type ('env, 'r) task_result = {
-  t_index : int;
-  t_seed : int;
-  t_env : 'env;
-  t_result : 'r;
-}
-
-let validate c =
-  if c.envs = [] then invalid_arg "Fleet.run_campaign: no environments";
-  let sorted = List.sort_uniq compare c.seeds in
-  if List.length sorted <> List.length c.seeds then
-    invalid_arg "Fleet.run_campaign: duplicate seeds (tasks would be identical)"
-
-let task_count c = List.length c.seeds * List.length c.envs
-
-let tasks c =
-  let i = ref (-1) in
-  List.concat_map
-    (fun seed ->
-      List.map
-        (fun env ->
-          incr i;
-          (!i, seed, env))
-        c.envs)
-    c.seeds
-
-let run_campaign ?pool ?progress ~jobs c =
-  validate c;
-  let grid = Array.of_list (tasks c) in
-  let results =
-    map ?pool ~jobs
-      (fun (index, seed, env) ->
-        { t_index = index; t_seed = seed; t_env = env; t_result = c.run ~seed ~env ~index })
-      grid
-  in
-  (match progress with
-  | Some f -> Array.iter f results
-  | None -> ());
-  Array.to_list results
+(* -------------------------------------------------------------- seeds *)
 
 let seeds_of ~master ~n =
   if n < 0 then invalid_arg "Fleet.seeds_of: negative count";

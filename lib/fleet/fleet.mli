@@ -12,74 +12,31 @@
       task boundary.  The few process-wide counters (link names,
       connection ids, copy accounting) are atomic and never enter
       traces or reports.
-    + {b Seeding} — each task derives its randomness from the campaign
-      seed and its own task index via {!Adaptive_sim.Rng.split_ix};
-      nothing depends on which domain or in which order a task ran.
-    + {b Ordered reduction} — results are reduced in canonical
-      (seed-major, environment-minor) task order, so the merged output
-      of a [--jobs 4] run is byte-identical to [--jobs 1].
+    + {b Seeding} — each task derives its randomness from its own seed
+      (or from a master seed and its task index via
+      {!Adaptive_sim.Rng.split_ix}); nothing depends on which domain or
+      in which order a task ran.
+    + {b Ordered reduction} — results are reduced in input order, so
+      the merged output of a [--jobs 4] run is byte-identical to
+      [--jobs 1].
 
-    {!Pool} is the underlying bounded work-queue domain pool. *)
+    {!map} is the one fan-out: [Soak.soak] and [Lab.replicate] both
+    reduce to it.  {!Pool} is the
+    underlying bounded work-queue domain pool. *)
 
 module Pool = Pool
 
-val map : ?pool:Pool.t -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f arr] applies [f] to every element on [jobs] domains
-    and returns the results {e in input order} — the order-preserving
-    parallel map every FLEET entry point reduces to.  [f] must be
-    self-contained (isolation rule above).  With [?pool] the tasks run
-    on the given pool ([jobs] is ignored); otherwise a fresh pool is
-    created and shut down.  An exception raised by any [f] is re-raised
-    after all tasks settle. *)
-
-val map_list : ?pool:Pool.t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists. *)
-
-(** {1 Campaigns} *)
-
-type ('env, 'r) campaign = {
-  name : string;  (** Scenario name, for reports. *)
-  seeds : int list;  (** Replication axis; duplicate-free. *)
-  envs : 'env list;  (** Environment axis; non-empty. *)
-  run : seed:int -> env:'env -> index:int -> 'r;
-      (** One task: a full, isolated scenario execution.  [index] is the
-          task's position in canonical order — derive any extra
-          randomness from it with [Rng.split_ix], never from shared
-          state. *)
-}
-
-type ('env, 'r) task_result = {
-  t_index : int;  (** Position in canonical (seed, env) order. *)
-  t_seed : int;
-  t_env : 'env;
-  t_result : 'r;
-}
-
-val task_count : ('env, 'r) campaign -> int
-(** [List.length seeds * List.length envs]. *)
-
-val tasks : ('env, 'r) campaign -> (int * int * 'env) list
-(** The campaign's task grid [(index, seed, env)] in canonical order:
-    seed-major, environment-minor, exactly the order a sequential nested
-    loop over [seeds] then [envs] would visit. *)
-
-val run_campaign :
-  ?pool:Pool.t ->
-  ?progress:(('env, 'r) task_result -> unit) ->
-  jobs:int ->
-  ('env, 'r) campaign ->
-  ('env, 'r) task_result list
-(** Execute every task of the grid across [jobs] domains and return the
-    results in canonical order.  [progress] fires on the calling domain,
-    in canonical order, as each result is reduced — parallel progress
-    output is byte-identical to sequential.  Raises [Invalid_argument]
-    on an empty environment list or duplicate seeds (a repeated seed
-    would silently run the same deterministic task twice). *)
+    and returns the results {e in input order}.  [f] must be
+    self-contained (isolation rule above).  At [jobs = 1] every [f] runs
+    inline on the calling domain, in order.  An exception raised by any
+    [f] is re-raised after all tasks settle. *)
 
 val seeds_of : master:int -> n:int -> int list
 (** [n] well-spread, duplicate-free, non-negative task seeds derived
-    from [master] with [Rng.split_ix] — the campaign-builder's way to
-    grow a seed list without reseeding or sharing a generator. *)
+    from [master] with [Rng.split_ix] — the way to grow a seed list
+    without reseeding or sharing a generator. *)
 
 (** {1 Deterministic reduction helpers} *)
 

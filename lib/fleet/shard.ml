@@ -262,14 +262,11 @@ let run_on_pool t ~pool ~shards ~until =
   done;
   t.st_exchanged
 
-let run ?pool t ~shards ~until =
+let run t ~shards ~until =
   if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
-  match pool with
-  | Some pool -> run_on_pool t ~pool ~shards ~until
-  | None ->
-    (* One pool for the whole run: a window is a few hundred microseconds
-       of work, so spawning domains per window would dominate it. *)
-    Pool.with_pool ~jobs:shards (fun pool -> run_on_pool t ~pool ~shards ~until)
+  (* One pool for the whole run: a window is a few hundred microseconds
+     of work, so spawning domains per window would dominate it. *)
+  Pool.with_pool ~jobs:shards (fun pool -> run_on_pool t ~pool ~shards ~until)
 
 let last_stats t =
   {

@@ -97,11 +97,9 @@ val create :
     window and the simulation could not be parallelized without
     violating causality — or if [partitions < 1]. *)
 
-val run : ?pool:Pool.t -> 'm t -> shards:int -> until:Time.t -> int
+val run : 'm t -> shards:int -> until:Time.t -> int
 (** Drive every partition to [until] in barrier windows, executing each
-    window's partitions across [shards] domains (with [?pool], on the
-    given pool — its job count then bounds the real parallelism).
-    Returns the number of cross-partition messages exchanged.  Raises
+    window's partitions across [shards] domains.  Returns the number of cross-partition messages exchanged.  Raises
     [Failure] if a drained message's arrival time violates the lookahead
     contract (it would land at or before its destination's executed
     horizon). *)

@@ -23,7 +23,6 @@ type t = {
   mutable dropped_down : int;
   mutable corrupted_count : int;
   mutable bytes_carried : int;
-  mutable frames_carried : int;
 }
 
 (* Atomic: default names must stay unique when parallel campaign tasks
@@ -62,7 +61,6 @@ let create ?name ~bandwidth_bps ~propagation ?(queue_pkts = 64) ?(ber = 0.0)
     dropped_down = 0;
     corrupted_count = 0;
     bytes_carried = 0;
-    frames_carried = 0;
   }
 
 let name t = t.name
@@ -116,8 +114,7 @@ let transmit t ?frame ~rng ~now:_ ~arrival ~bytes () =
     if flen <> bytes then
       invalid_arg "Link.transmit: frame length disagrees with accounted bytes";
     if foff < 0 || foff + flen > Bytes.length fb then
-      invalid_arg "Link.transmit: frame slice out of range";
-    t.frames_carried <- t.frames_carried + 1
+      invalid_arg "Link.transmit: frame slice out of range"
   | None -> ());
   if not t.up then begin
     t.dropped_down <- t.dropped_down + 1;
@@ -154,8 +151,6 @@ let utilization_estimate t ~now =
   Float.min 1.0 (t.background +. (fg *. (1.0 -. t.background)))
 
 let queue_delay_estimate t ~now = Time.max 0 (Time.diff t.busy_until now)
-
-let frames_carried t = t.frames_carried
 
 let stats t =
   {

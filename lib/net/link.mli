@@ -94,14 +94,10 @@ val transmit :
     In wire-true mode the caller threads the physical frame through the
     hop as [?frame:(buf, off, len)].  The link checks the wire-true
     invariant — the byte image is exactly the [bytes] the simulator
-    accounts for (raising [Invalid_argument] on drift) — and counts the
-    frame in {!frames_carried}.  Corruption stays a verdict flag here;
-    the network applies it to each receiver's copy of the frame, because
-    multicast replicates frames at branch points downstream of the
-    hop. *)
-
-val frames_carried : t -> int
-(** Physical frames threaded through this link in wire-true mode. *)
+    accounts for (raising [Invalid_argument] on drift).  Corruption stays
+    a verdict flag here; the network applies it to each receiver's copy
+    of the frame, because multicast replicates frames at branch points
+    downstream of the hop. *)
 
 val utilization_estimate : t -> now:Time.t -> float
 (** Foreground + background utilization estimate in [\[0,1\]]; the signal

@@ -58,8 +58,6 @@ type 'm t = {
   mutable s_dropped_mtu : int;
   mutable s_corrupted : int;
   mutable s_bytes_sent : int;
-  mutable s_remote_out : int;
-  mutable s_remote_in : int;
   mutable s_conn_counter : int;
   mutable conn_stride : int;
   mutable conn_offset : int;
@@ -81,8 +79,6 @@ let create engine ~rng topology =
     s_dropped_mtu = 0;
     s_corrupted = 0;
     s_bytes_sent = 0;
-    s_remote_out = 0;
-    s_remote_in = 0;
     s_conn_counter = 0;
     conn_stride = 1;
     conn_offset = 0;
@@ -118,8 +114,6 @@ let set_wire t ~encode ~decode ~release =
         wh_rejected = 0;
       }
 
-let wire_active t = t.wire <> None
-
 let wire_stats t =
   Option.map
     (fun w ->
@@ -143,10 +137,7 @@ let set_remote t f =
     invalid_arg "Network.set_remote: incompatible with wire-true mode";
   t.remote <- Some f
 
-let remote_counts t = (t.s_remote_out, t.s_remote_in)
-
 let deliver_remote t ~src ~dst ~bytes ~sent_at payload =
-  t.s_remote_in <- t.s_remote_in + 1;
   match Hashtbl.find_opt t.handlers dst with
   | None -> ()
   | Some handler ->
@@ -283,9 +274,7 @@ let send_on_cache t ~cache ~frame ~src ~dst ~bytes payload =
   match Topology.route t.topology ~src ~dst with
   | None -> (
     match t.remote with
-    | Some hand_over ->
-      t.s_remote_out <- t.s_remote_out + 1;
-      hand_over ~src ~dst ~bytes payload
+    | Some hand_over -> hand_over ~src ~dst ~bytes payload
     | None -> t.s_dropped_no_route <- t.s_dropped_no_route + 1)
   | Some hops ->
     let sent_at = Engine.now t.engine in

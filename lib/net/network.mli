@@ -100,9 +100,6 @@ val deliver_remote :
     at the modeled arrival time).  Unknown destinations are dropped
     silently, mirroring a detached local host. *)
 
-val remote_counts : 'm t -> int * int
-(** [(handed_over, delivered_in)] counts for the remote path. *)
-
 type stats = {
   sent : int;  (** Packets injected (multicast counts once). *)
   delivered : int;  (** Deliveries executed (per receiver). *)
@@ -173,9 +170,6 @@ val set_wire :
     [bytes] bytes; [decode buf off len] parses a frame (returning [None]
     to reject it); [release] drops one lease reference.  Decoded payloads
     must not alias the frame past the delivery callback — detach them. *)
-
-val wire_active : 'm t -> bool
-(** Whether wire-true mode is installed. *)
 
 type wire_stats = {
   wire_encoded : int;  (** Frames serialized (one per injection). *)

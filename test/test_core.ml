@@ -551,22 +551,22 @@ let prop_protograph_acyclic =
 (* ------------------------------------------------------------------ Lab *)
 
 let test_lab_replicate () =
-  let r = Lab.replicate ~seeds:[ 1; 2; 3; 4 ] (fun ~seed -> float_of_int seed) in
+  let r = Lab.replicate ~jobs:1 ~seeds:[ 1; 2; 3; 4 ] (fun ~seed -> float_of_int seed) in
   check_int "n" 4 r.Lab.n;
   Alcotest.(check (float 1e-9)) "mean" 2.5 r.Lab.mean;
   Alcotest.(check (float 1e-9)) "median (even n)" 2.5 r.Lab.median;
   check_bool "half width positive" true (r.Lab.half_width > 0.0);
-  let constant = Lab.replicate ~seeds:[ 7; 8; 9 ] (fun ~seed:_ -> 5.0) in
+  let constant = Lab.replicate ~jobs:1 ~seeds:[ 7; 8; 9 ] (fun ~seed:_ -> 5.0) in
   Alcotest.(check (float 1e-9)) "constant mean" 5.0 constant.Lab.mean;
   Alcotest.(check (float 1e-9)) "constant width" 0.0 constant.Lab.half_width;
   Alcotest.check_raises "no seeds" (Invalid_argument "Lab.replicate: no seeds")
-    (fun () -> ignore (Lab.replicate ~seeds:[] (fun ~seed:_ -> 0.0)))
+    (fun () -> ignore (Lab.replicate ~jobs:1 ~seeds:[] (fun ~seed:_ -> 0.0)))
 
 let test_lab_median_skewed () =
   (* The median must resist a single fault-skewed replica; the mean does
      not.  Odd n picks the middle element exactly. *)
   let r =
-    Lab.replicate ~seeds:[ 1; 2; 3; 4; 5 ] (fun ~seed ->
+    Lab.replicate ~jobs:1 ~seeds:[ 1; 2; 3; 4; 5 ] (fun ~seed ->
         if seed = 5 then 1000.0 else float_of_int seed)
   in
   Alcotest.(check (float 1e-9)) "median ignores outlier" 3.0 r.Lab.median;
@@ -575,7 +575,7 @@ let test_lab_median_skewed () =
 let test_lab_duplicate_seeds () =
   Alcotest.check_raises "duplicate seeds"
     (Invalid_argument "Lab.replicate: duplicate seeds (replicas would be identical)")
-    (fun () -> ignore (Lab.replicate ~seeds:[ 1; 2; 1 ] (fun ~seed:_ -> 0.0)))
+    (fun () -> ignore (Lab.replicate ~jobs:1 ~seeds:[ 1; 2; 1 ] (fun ~seed:_ -> 0.0)))
 
 let test_lab_distinguishable () =
   let mk mean half_width =
@@ -584,7 +584,7 @@ let test_lab_distinguishable () =
   check_bool "separated" true (Lab.distinguishable (mk 10.0 1.0) (mk 15.0 1.0));
   check_bool "overlapping" false (Lab.distinguishable (mk 10.0 3.0) (mk 15.0 3.0));
   check_bool "single run has zero width" true
-    ((Lab.replicate ~seeds:[ 42 ] (fun ~seed:_ -> 1.0)).Lab.half_width = 0.0)
+    ((Lab.replicate ~jobs:1 ~seeds:[ 42 ] (fun ~seed:_ -> 1.0)).Lab.half_width = 0.0)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -1,6 +1,6 @@
-(* Tests for FLEET: the domain pool, order-preserving map, campaign
-   grid, and the property the subsystem exists for — parallel runs are
-   byte-identical to sequential ones. *)
+(* Tests for FLEET: the domain pool, the order-preserving map, seed
+   derivation, and the property the subsystem exists for — parallel runs
+   are byte-identical to sequential ones. *)
 
 open Adaptive_fleet
 open Adaptive_chaos
@@ -68,49 +68,9 @@ let test_map_order_preserving () =
 
 let test_map_empty () =
   check_int "empty array maps to empty" 0
-    (Array.length (Fleet.map ~jobs:4 (fun i -> i) [||]));
-  check_bool "empty list maps to empty" true
-    (Fleet.map_list ~jobs:4 (fun i -> i) [] = [])
+    (Array.length (Fleet.map ~jobs:4 (fun i -> i) [||]))
 
-(* -------------------------------------------------------- campaigns *)
-
-let campaign seeds envs =
-  {
-    Fleet.name = "toy";
-    seeds;
-    envs;
-    run = (fun ~seed ~env ~index -> (seed * 100) + (env * 10) + index);
-  }
-
-let test_campaign_grid_order () =
-  let c = campaign [ 7; 8 ] [ 0; 1; 2 ] in
-  check_int "task count" 6 (Fleet.task_count c);
-  check_bool "seed-major, env-minor canonical order" true
-    (Fleet.tasks c
-    = [ (0, 7, 0); (1, 7, 1); (2, 7, 2); (3, 8, 0); (4, 8, 1); (5, 8, 2) ])
-
-let test_campaign_parallel_equals_sequential () =
-  let c = campaign [ 3; 5; 9 ] [ 0; 1 ] in
-  let order = ref [] in
-  let progress (r : (_, _) Fleet.task_result) =
-    order := r.Fleet.t_index :: !order
-  in
-  let seq = Fleet.run_campaign ~jobs:1 c in
-  let par = Fleet.run_campaign ~progress ~jobs:4 c in
-  check_bool "results identical" true (seq = par);
-  check_bool "progress fires in canonical order" true
-    (List.rev !order = List.init 6 Fun.id)
-
-let test_campaign_validation () =
-  Alcotest.check_raises "empty environment grid rejected"
-    (Invalid_argument "Fleet.run_campaign: no environments") (fun () ->
-      ignore (Fleet.run_campaign ~jobs:1 (campaign [ 1 ] [])));
-  Alcotest.check_raises "duplicate seeds rejected"
-    (Invalid_argument "Fleet.run_campaign: duplicate seeds (tasks would be identical)")
-    (fun () ->
-      ignore (Fleet.run_campaign ~jobs:1 (campaign [ 4; 4 ] [ 0 ])));
-  check_bool "empty seed list is an empty campaign" true
-    (Fleet.run_campaign ~jobs:4 (campaign [] [ 0; 1 ]) = [])
+(* ------------------------------------------------------------ seeds *)
 
 let test_seeds_of () =
   let a = Fleet.seeds_of ~master:123 ~n:64 in
@@ -155,8 +115,17 @@ let soak_fingerprint report =
   in
   (Fleet.combine_hashes hashes, reports)
 
-let test_soak_parallel_determinism () =
-  let run jobs = Soak.soak_par ~jobs ~seed:4242 ~schedules:6 () in
+let test_soak_jobs_identical () =
+  let run jobs =
+    let order = ref [] in
+    let progress i _ = order := i :: !order in
+    let report = Soak.soak ~progress ~jobs ~seed:4242 ~schedules:6 () in
+    check_bool
+      (Printf.sprintf "progress fires in run order at jobs=%d" jobs)
+      true
+      (List.rev !order = List.init 6 Fun.id);
+    report
+  in
   let seq = run 1 and par = run 4 in
   check_int "same run count" seq.Soak.r_runs par.Soak.r_runs;
   let seq_digest, seq_reports = soak_fingerprint seq in
@@ -175,12 +144,17 @@ let test_soak_parallel_determinism () =
        seq.Soak.r_outcomes par.Soak.r_outcomes
     |> List.for_all Fun.id)
 
-let test_replicate_par_equals_replicate () =
+let test_soak_no_environments () =
+  Alcotest.check_raises "empty environment list rejected"
+    (Invalid_argument "Soak.soak: no environments") (fun () ->
+      ignore (Soak.soak ~environments:[] ~jobs:1 ~seed:1 ~schedules:1 ()))
+
+let test_replicate_jobs_identical () =
   let open Adaptive_core in
   let f ~seed = float_of_int (seed * seed) +. 0.125 in
   let seeds = List.init 9 (fun i -> 100 + i) in
-  let seq = Lab.replicate ~seeds f in
-  let par = Lab.replicate_par ~jobs:4 ~seeds f in
+  let seq = Lab.replicate ~jobs:1 ~seeds f in
+  let par = Lab.replicate ~jobs:4 ~seeds f in
   (* Bit-identical, not approximately equal: the parallel reducer folds
      in seed order, so even float summation order matches. *)
   check_bool "summary bit-identical" true (seq = par)
@@ -207,12 +181,6 @@ let suite =
       ] );
     ( "fleet.campaign",
       [
-        Alcotest.test_case "canonical seed-major grid" `Quick
-          test_campaign_grid_order;
-        Alcotest.test_case "jobs=4 equals jobs=1, progress ordered" `Quick
-          test_campaign_parallel_equals_sequential;
-        Alcotest.test_case "empty envs and duplicate seeds rejected" `Quick
-          test_campaign_validation;
         Alcotest.test_case "seeds_of is spread and reproducible" `Quick
           test_seeds_of;
       ] );
@@ -225,8 +193,10 @@ let suite =
       [
         Alcotest.test_case
           "chaos campaign: jobs=4 byte-identical to jobs=1" `Slow
-          test_soak_parallel_determinism;
-        Alcotest.test_case "Lab.replicate_par bit-identical to replicate"
-          `Quick test_replicate_par_equals_replicate;
+          test_soak_jobs_identical;
+        Alcotest.test_case "soak rejects an empty environment list" `Quick
+          test_soak_no_environments;
+        Alcotest.test_case "jobs=4 bit-identical to jobs=1" `Quick
+          test_replicate_jobs_identical;
       ] );
   ]
