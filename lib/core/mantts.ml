@@ -98,10 +98,10 @@ type t = {
      raw bandwidth, BER, propagation RTT, hop count — is a static link or
      route property, so repeated opens with an identical (source, ACD)
      pair derive the identical SCS until some link or route parameter
-     mutates.  [dc_gen] pins the {!Link.config_generation} the cache was
-     filled under; any mutation anywhere invalidates wholesale, which
-     keeps chaos-driven parameter changes (BER bursts, MTU shrinks,
-     failures) visible to the very next open.  The value carries the
+     mutates.  [dc_gen] pins the {!Topology.generation} the cache was
+     filled under; any route edit or routed-link mutation invalidates
+     wholesale, which keeps chaos-driven parameter changes (BER bursts,
+     MTU shrinks, failures) visible to the very next open.  The value carries the
      sampled path RTT so the playout-allowance computation does not need
      to re-sample the path. *)
   derive_cache : (int * Acd.t, Scs.t * Time.t) Hashtbl.t;
@@ -145,7 +145,7 @@ let create ~net ~unites ~rng () =
     path_cache = Hashtbl.create 16;
     rtt_cache = Hashtbl.create 16;
     derive_cache = Hashtbl.create 64;
-    dc_gen = Link.config_generation ();
+    dc_gen = Topology.generation (Network.topology net);
     rules_cache = Hashtbl.create 64;
   }
 
@@ -534,7 +534,7 @@ let derive_scs t ~src (acd : Acd.t) tsc =
    any Link/Topology mutation flush the memo before it can serve stale
    shapes. *)
 let derived t ~src (acd : Acd.t) tsc =
-  let gen = Link.config_generation () in
+  let gen = Topology.generation (Network.topology t.net) in
   if t.dc_gen <> gen then begin
     Hashtbl.reset t.derive_cache;
     t.dc_gen <- gen

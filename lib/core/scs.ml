@@ -36,7 +36,7 @@ let default =
 
 (* Blobs are ;-separated key=value lists.  Component encodings come from
    Params; the scalar parameters are appended. *)
-let to_blob_uncached t =
+let to_blob t =
   String.concat ";"
     [
       "conn=" ^ Params.connection_to_string t.connection;
@@ -54,26 +54,7 @@ let to_blob_uncached t =
       "rto=" ^ string_of_int t.initial_rto;
     ]
 
-(* Connection setup serializes a proposal into every Syn and parses it
-   back on both sides, but a swarm negotiates the same handful of
-   configurations over and over: memoize both directions.  [t] is fully
-   immutable, so returning a shared record is safe.  The tables reset at
-   a size bound so a workload that synthesizes unbounded shapes cannot
-   grow them without limit. *)
-let blob_cache : (t, string) Hashtbl.t = Hashtbl.create 64
-let parse_cache : (string, t option) Hashtbl.t = Hashtbl.create 64
-let cache_bound = 512
-
-let to_blob t =
-  match Hashtbl.find blob_cache t with
-  | blob -> blob
-  | exception Not_found ->
-    let blob = to_blob_uncached t in
-    if Hashtbl.length blob_cache >= cache_bound then Hashtbl.reset blob_cache;
-    Hashtbl.add blob_cache t blob;
-    blob
-
-let of_blob_uncached blob =
+let of_blob blob =
   let kvs =
     List.filter_map
       (fun part ->
@@ -116,15 +97,6 @@ let of_blob_uncached blob =
       priority = pri;
       initial_rto = rto;
     }
-
-let of_blob blob =
-  match Hashtbl.find parse_cache blob with
-  | parsed -> parsed
-  | exception Not_found ->
-    let parsed = of_blob_uncached blob in
-    if Hashtbl.length parse_cache >= cache_bound then Hashtbl.reset parse_cache;
-    Hashtbl.add parse_cache blob parsed;
-    parsed
 
 (* Structural equality.  The previous definition compared serialized
    blobs, which built ~2.9k words of strings per template-cache probe —

@@ -47,6 +47,12 @@ type dispatcher = {
   mutable tw_armed : bool;
   mutable tw_sweeps : int; (* sweeper firings, cumulative *)
   mutable tw_expired : int; (* time-wait entries expired, cumulative *)
+  (* Negotiation memo, both directions: a swarm proposes the same few
+     configurations over and over, so each (scs, start_seq) is rendered
+     and each distinct blob parsed once per dispatcher.  Scs.t is
+     immutable, so sharing a parsed record is safe. *)
+  d_blobs : (Scs.t * int, string) Hashtbl.t;
+  d_proposals : (string, Scs.t option * int) Hashtbl.t;
 }
 
 and accept_decision =
@@ -197,19 +203,24 @@ let backlog_delay t =
 (* ------------------------------------------------------------------ *)
 (* Negotiation blob: SCS fields plus a start-sequence marker. *)
 
-(* Proposals repeat endlessly in a swarm (few configurations, start_seq
-   almost always 0), so the rendered blob is memoized per (scs, seq). *)
-let proposal_cache : (Scs.t * int, string) Hashtbl.t = Hashtbl.create 64
+(* A memo table resets at a size bound, so a workload that synthesizes
+   unbounded shapes cannot grow it without limit. *)
+let memo_bound = 512
 
-let encode_proposal scs ~start_seq =
-  let key = (scs, start_seq) in
-  match Hashtbl.find proposal_cache key with
-  | blob -> blob
+let memoize tbl key compute =
+  match Hashtbl.find tbl key with
+  | v -> v
   | exception Not_found ->
-    let blob = Printf.sprintf "startseq=%d;%s" start_seq (Scs.to_blob scs) in
-    if Hashtbl.length proposal_cache >= 512 then Hashtbl.reset proposal_cache;
-    Hashtbl.add proposal_cache key blob;
-    blob
+    let v = compute key in
+    if Hashtbl.length tbl >= memo_bound then Hashtbl.reset tbl;
+    Hashtbl.add tbl key v;
+    v
+
+let render_proposal (scs, start_seq) =
+  Printf.sprintf "startseq=%d;%s" start_seq (Scs.to_blob scs)
+
+let encode_proposal disp scs ~start_seq =
+  memoize disp.d_blobs (scs, start_seq) render_proposal
 
 let decode_start_seq blob =
   (* Fast path: [encode_proposal] always writes the marker first, so a
@@ -240,6 +251,9 @@ let decode_start_seq blob =
         | Some _ | None -> acc)
       0
       (String.split_on_char ';' blob)
+
+let decode_proposal disp blob =
+  memoize disp.d_proposals blob (fun blob -> (Scs.of_blob blob, decode_start_seq blob))
 
 (* ------------------------------------------------------------------ *)
 (* Host CPU charging: every PDU pays the per-packet and copy costs, and
@@ -468,7 +482,7 @@ and send_parity t covered =
 (* Connection management: active open *)
 
 and send_syn t =
-  let blob = encode_proposal (scs t) ~start_seq:t.next_seq in
+  let blob = encode_proposal t.disp (scs t) ~start_seq:t.next_seq in
   count_control t;
   let dsts = if t.pending_peers = [] then t.peers else t.pending_peers in
   inject_to t dsts (Pdu.Syn { conn = t.id; blob; first = None });
@@ -1040,13 +1054,12 @@ and accept_connection disp (recv : Pdu.t Network.recv) ~conn ~blob ~first =
   match disp.acceptor with
   | None -> ()
   | Some acceptor -> (
-    let proposal = Scs.of_blob blob in
+    let proposal, start_seq = decode_proposal disp blob in
     match acceptor ~src:recv.Network.src ~conn ~proposal with
     | Reject ->
       (* A rejection still answers, so the initiator can fail fast. *)
       dispatcher_reply disp recv (Pdu.Syn_ack { conn; accepted = false; blob = "" })
     | Accept { scs; name; on_deliver; on_signal } ->
-      let start_seq = decode_start_seq blob in
       let t =
         make_endpoint ~disp ~conn ~ep_name:name ~binding:None
           ~peers:[ recv.Network.src ] ~scs ~start_seq ~on_deliver ~on_signal
@@ -1056,7 +1069,7 @@ and accept_connection disp (recv : Pdu.t Network.recv) ~conn ~blob ~first =
       count_control t;
       inject t
         (Pdu.Syn_ack
-           { conn; accepted = true; blob = encode_proposal scs ~start_seq });
+           { conn; accepted = true; blob = encode_proposal disp scs ~start_seq });
       (match first with
       | Some (Pdu.Data { seg; _ }) -> handle_data t recv seg
       | Some _ | None -> ()))
@@ -1079,7 +1092,7 @@ and endpoint_handle t (recv : Pdu.t Network.recv) pdu =
            {
              conn = t.id;
              accepted = true;
-             blob = encode_proposal (scs t) ~start_seq:0;
+             blob = encode_proposal t.disp (scs t) ~start_seq:0;
            })
     | Pdu.Syn_ack { accepted; blob; _ } -> handle_syn_ack t recv ~accepted ~blob
     | Pdu.Ack_of_syn _ -> count_control t
@@ -1104,7 +1117,7 @@ and handle_syn_ack t (recv : Pdu.t Network.recv) ~accepted ~blob =
   else begin
     t.pending_peers <- List.filter (fun p -> p <> recv.Network.src) t.pending_peers;
     (* Adopt the responder's (possibly counter-proposed) configuration. *)
-    (match Scs.of_blob blob with
+    (match fst (decode_proposal t.disp blob) with
     | Some final when not (Scs.equal final (scs t)) -> (
       match segue_ctx t final with Ok _ -> () | Error _ -> ())
     | Some _ | None -> ());
@@ -1151,6 +1164,8 @@ module Dispatcher = struct
         tw_armed = false;
         tw_sweeps = 0;
         tw_expired = 0;
+        d_blobs = Hashtbl.create 16;
+        d_proposals = Hashtbl.create 16;
       }
     in
     Unites.register_session unites ~id:Unites.swarm_session ~name:"swarm";
@@ -1221,7 +1236,7 @@ let connect ?name:ep_name ?binding ?on_deliver ?on_signal_reply ?(start_seq = 0)
     mark_established t;
     count_control t;
     inject t
-      (Pdu.Syn { conn; blob = encode_proposal scs ~start_seq; first = None })
+      (Pdu.Syn { conn; blob = encode_proposal disp scs ~start_seq; first = None })
   | Params.Two_way | Params.Three_way ->
     t.pending_peers <- peers;
     send_syn t);
@@ -1313,7 +1328,7 @@ let add_peer t addr =
     count_control t;
     inject_to t [ addr ]
       (Pdu.Syn
-         { conn = t.id; blob = encode_proposal (scs t) ~start_seq:t.next_seq; first = None });
+         { conn = t.id; blob = encode_proposal t.disp (scs t) ~start_seq:t.next_seq; first = None });
     arm_syn_timer t
   end
 

@@ -265,21 +265,10 @@ module Templates = struct
 
   let names = List.map fst entries
   let find name = List.assoc_opt name entries
-  let hits = ref 0
-  let misses = ref 0
 
   let lookup_scs scs =
-    let found =
-      List.find_opt (fun (_, (_, template_scs)) -> Scs.equal scs template_scs) entries
-    in
-    match found with
-    | Some (name, (binding, _)) ->
-      incr hits;
-      Some (binding, name)
-    | None ->
-      incr misses;
-      None
-
-  let cache_hits () = !hits
-  let cache_misses () = !misses
+    List.find_map
+      (fun (name, (binding, template_scs)) ->
+        if Scs.equal scs template_scs then Some (binding, name) else None)
+      entries
 end

@@ -96,12 +96,5 @@ module Templates : sig
   (** Look up a template. *)
 
   val lookup_scs : Scs.t -> (binding * string) option
-  (** Reverse lookup: does some template pre-assemble this exact SCS?
-      Counts a cache hit when it does. *)
-
-  val cache_hits : unit -> int
-  (** Reverse-lookup successes since start-up. *)
-
-  val cache_misses : unit -> int
-  (** Reverse-lookup failures since start-up. *)
+  (** Reverse lookup: does some template pre-assemble this exact SCS? *)
 end

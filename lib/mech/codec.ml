@@ -29,11 +29,6 @@ let get_u16 = Bytes.get_uint16_be
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
 let get_u64 b off = Int64.to_int (Bytes.get_int64_be b off)
 
-let payload_string (seg : Pdu.seg) =
-  match seg.Pdu.payload with
-  | Some m -> Msg.data_to_string m
-  | None -> String.make seg.Pdu.seg_bytes '\000'
-
 (* Checksum over the whole packet with the checksum field zeroed.  For
    payload-bearing PDUs the field is the 2-byte trailer; control PDUs keep
    it at offset 2. *)
@@ -69,7 +64,15 @@ let rec encode_bytes (pdu : Pdu.t) =
     set_u32 b 8 seg.Pdu.seq;
     set_u64 b 12 seg.Pdu.app_stamp;
     set_u64 b 20 tx_stamp;
-    Bytes.blit_string (payload_string seg) 0 b 30 seg.Pdu.seg_bytes
+    (* Same contract as [encode_into]: a longer payload is an error; a
+       shorter or absent one leaves [b]'s zero filler in place. *)
+    Option.iter
+      (fun m ->
+        let payload = Msg.data_to_string m in
+        if String.length payload > seg.Pdu.seg_bytes then
+          invalid_arg "Codec.encode: payload exceeds declared length";
+        Bytes.blit_string payload 0 b 30 (String.length payload))
+      seg.Pdu.payload
   | Pdu.Parity { conn; group_start; group_len; covered; parity } ->
     let block =
       match parity with
@@ -253,10 +256,10 @@ let decode s =
 
 (* --------------------------------------------------- wire-true paths *)
 
-(* Field accessors over plain immediate ints.  The [set_u32]/[set_u64]
+(* Field writers over plain immediate ints.  The [set_u32]/[set_u64]
    helpers above go through boxed [Int32.t]/[Int64.t], which costs an
-   allocation per call without flambda; the wire-true encoder and scanner
-   must stay allocation-free, so they assemble the same big-endian bytes
+   allocation per call without flambda; the wire-true encoder must stay
+   allocation-free, so it assembles the same big-endian bytes
    from unboxed 16-bit halves.  Values are non-negative and below 2^62,
    so the byte images agree with the boxed writers. *)
 let set_u32i b off v =
@@ -267,12 +270,7 @@ let set_u64i b off v =
   set_u32i b off ((v lsr 32) land 0xFFFFFFFF);
   set_u32i b (off + 4) v
 
-let get_u32i b off =
-  (Bytes.get_uint16_be b off lsl 16) lor Bytes.get_uint16_be b (off + 2)
-
-let get_u64i b off = (get_u32i b off lsl 32) lor get_u32i b (off + 4)
-
-(* Reusable encoder/scanner state: one record per wire-mode network, so
+(* Reusable encoder state: one record per wire-mode network, so
    the hot paths mutate fields instead of allocating.  [copy_seg] is the
    one [Msg.iter_data] callback, built once — creating a closure per
    encode would put words on the minor heap for every data PDU. *)
@@ -281,13 +279,6 @@ type wire = {
   mutable wpos : int;
   mutable wsum : int;
   mutable fused : int;
-  mutable v_conn : int;
-  mutable v_seq : int;
-  mutable v_flags : int;
-  mutable v_plen : int;
-  mutable v_pay : int;
-  mutable v_app_stamp : int;
-  mutable v_tx_stamp : int;
   copy_seg : Bytes.t -> int -> int -> unit;
 }
 
@@ -298,13 +289,6 @@ let wire_state () =
       wpos = 0;
       wsum = Checksum.sum_init;
       fused = 0;
-      v_conn = 0;
-      v_seq = 0;
-      v_flags = 0;
-      v_plen = 0;
-      v_pay = 0;
-      v_app_stamp = 0;
-      v_tx_stamp = 0;
       copy_seg =
         (fun src src_off len ->
           st.wsum <-
@@ -598,35 +582,3 @@ let decode_view b ~off ~len =
   if len < 8 then Error Truncated
   else if not (verify_view b ~off ~len) then Error Bad_checksum
   else decode_body_view b ~off ~len
-
-type scan_result = Scan_ok | Scan_truncated | Scan_not_data | Scan_bad_checksum
-
-let scan_data st b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Codec.scan_data";
-  if len < 32 then Scan_truncated
-  else if Bytes.get_uint8 b off <> t_data then Scan_not_data
-  else begin
-    let plen = Bytes.get_uint16_be b (off + 2) in
-    if len < 32 + plen then Scan_truncated
-    else if not (verify_view b ~off ~len) then Scan_bad_checksum
-    else begin
-      st.v_flags <- Bytes.get_uint8 b (off + 1);
-      st.v_plen <- plen;
-      st.v_conn <- get_u32i b (off + 4);
-      st.v_seq <- get_u32i b (off + 8);
-      st.v_app_stamp <- get_u64i b (off + 12);
-      st.v_tx_stamp <- get_u64i b (off + 20);
-      st.v_pay <- off + 30;
-      Scan_ok
-    end
-  end
-
-let scan_conn st = st.v_conn
-let scan_seq st = st.v_seq
-let scan_payload_off st = st.v_pay
-let scan_payload_len st = st.v_plen
-let scan_last st = st.v_flags land 1 = 1
-let scan_retransmit st = st.v_flags land 2 = 2
-let scan_app_stamp st = st.v_app_stamp
-let scan_tx_stamp st = st.v_tx_stamp

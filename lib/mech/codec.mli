@@ -25,7 +25,9 @@ val error_to_string : error -> string
 (** Human-readable rendering. *)
 
 val encode : Pdu.t -> string
-(** Serialize a PDU; [String.length (encode p) = Pdu.wire_bytes p]. *)
+(** Serialize a PDU; [String.length (encode p) = Pdu.wire_bytes p].  A
+    data payload shorter than its [seg_bytes] is zero-filled; a longer one
+    raises [Invalid_argument], as {!encode_into} does. *)
 
 val decode : string -> (Pdu.t, error) result
 (** Parse and verify a PDU.  Decoded data/parity segments always carry a
@@ -47,7 +49,7 @@ val decode_unchecked : string -> (Pdu.t, error) result
     [encode]/[decode]; the test suite asserts both on random PDUs. *)
 
 type wire
-(** Reusable encoder/scanner state.  One per wire-mode network (and
+(** Reusable encoder state.  One per wire-mode network (and
     therefore per domain): the record is mutated by every call, so it
     must not be shared across parallel fleet workers. *)
 
@@ -75,24 +77,3 @@ val decode_view : Bytes.t -> off:int -> len:int -> (Pdu.t, error) result
     [b]'s owner keeps the bytes intact — consumers that hold payloads
     past the delivery boundary must {!Msg.detach} them.  Error-for-error
     equivalent to [decode] on the same bytes. *)
-
-type scan_result = Scan_ok | Scan_truncated | Scan_not_data | Scan_bad_checksum
-
-val scan_data : wire -> Bytes.t -> off:int -> len:int -> scan_result
-(** Allocation-free verification and field location for data PDUs — the
-    steady-state receive path a kernel-bypass receiver would run.  On
-    [Scan_ok] the header fields are parked in the state record for the
-    [scan_*] accessors; nothing is boxed, so the scan allocates zero
-    minor words. *)
-
-val scan_conn : wire -> int
-val scan_seq : wire -> int
-
-val scan_payload_off : wire -> int
-(** Absolute offset of the payload within the scanned buffer. *)
-
-val scan_payload_len : wire -> int
-val scan_last : wire -> bool
-val scan_retransmit : wire -> bool
-val scan_app_stamp : wire -> int
-val scan_tx_stamp : wire -> int

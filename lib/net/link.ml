@@ -18,6 +18,7 @@ type t = {
   mutable busy_until : Time.t;
   mutable background : float;
   mutable up : bool;
+  mutable gen : int;
   mutable accepted : int;
   mutable dropped_queue : int;
   mutable dropped_down : int;
@@ -28,15 +29,6 @@ type t = {
 (* Atomic: default names must stay unique when parallel campaign tasks
    (lib/fleet) build their stacks concurrently. *)
 let counter = Atomic.make 0
-
-(* Configuration generation: bumped by every mutation of a parameter that
-   feeds path characterization (BER, MTU, up/down, cross traffic, route
-   edits — topology calls [touch_config] too).  Higher layers memoize
-   values derived from link properties and use this to invalidate; it is
-   global across links, so a bump only costs spurious re-derivation. *)
-let config_gen = Atomic.make 0
-let touch_config () = Atomic.incr config_gen
-let config_generation () = Atomic.get config_gen
 
 let create ?name ~bandwidth_bps ~propagation ?(queue_pkts = 64) ?(ber = 0.0)
     ?(mtu = 65535) () =
@@ -56,6 +48,7 @@ let create ?name ~bandwidth_bps ~propagation ?(queue_pkts = 64) ?(ber = 0.0)
     busy_until = Time.zero;
     background = 0.0;
     up = true;
+    gen = 0;
     accepted = 0;
     dropped_queue = 0;
     dropped_down = 0;
@@ -70,21 +63,26 @@ let mtu t = t.mtu
 let ber t = t.ber
 let queue_capacity t = t.queue_pkts
 
+(* Every mutation of a parameter that feeds path characterization bumps
+   [gen]; {!Topology.generation} sums it over routed links. *)
+let touch t = t.gen <- t.gen + 1
+let generation t = t.gen
+
 let set_background_utilization t u =
-  touch_config ();
+  touch t;
   t.background <- Float.max 0.0 (Float.min 0.98 u)
 
 let background_utilization t = t.background
 
-let fail t = touch_config (); t.up <- false
-let repair t = touch_config (); t.up <- true
+let fail t = touch t; t.up <- false
+let repair t = touch t; t.up <- true
 let is_up t = t.up
 
-let set_ber t ber = touch_config (); t.ber <- Float.max 0.0 ber
+let set_ber t ber = touch t; t.ber <- Float.max 0.0 ber
 
 let set_mtu t mtu =
   if mtu <= 0 then invalid_arg "Link.set_mtu: non-positive MTU";
-  touch_config ();
+  touch t;
   t.mtu <- mtu
 
 let effective_bps t = t.bandwidth_bps *. (1.0 -. t.background)

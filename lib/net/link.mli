@@ -121,12 +121,8 @@ val stats : t -> stats
 val reset_stats : t -> unit
 (** Zero the counters (transmission state is preserved). *)
 
-val touch_config : unit -> unit
-(** Bump the global link/route configuration generation.  Called by every
-    link parameter mutation and by topology route edits. *)
-
-val config_generation : unit -> int
-(** Current configuration generation.  Monotonic and global: any link or
-    route mutation anywhere bumps it.  Layers that memoize values derived
-    from link properties (e.g. the MANTTS synthesis cache) compare
-    generations to invalidate precisely instead of guessing at a TTL. *)
+val generation : t -> int
+(** Configuration generation of this link: bumped by every mutation of a
+    parameter that feeds path characterization (BER, MTU, up/down, cross
+    traffic).  {!Topology.generation} folds it into a per-topology
+    generation. *)

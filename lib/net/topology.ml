@@ -5,9 +5,11 @@ type addr = int
 type t = {
   mutable names : string list; (* reversed registration order *)
   routes : (addr * addr, Link.t list) Hashtbl.t;
+  mutable edits : int; (* route installs and replacements *)
+  mutable used : Link.t list; (* every link any route has held *)
 }
 
-let create () = { names = []; routes = Hashtbl.create 16 }
+let create () = { names = []; routes = Hashtbl.create 16; edits = 0; used = [] }
 
 let add_host t name =
   let addr = List.length t.names in
@@ -23,8 +25,14 @@ let hosts t = List.mapi (fun i name -> (i, name)) (List.rev t.names)
 
 let set_route t ~src ~dst hops =
   if hops = [] then invalid_arg "Topology.set_route: empty route";
-  Link.touch_config ();
+  t.edits <- t.edits + 1;
+  List.iter (fun l -> if not (List.memq l t.used) then t.used <- l :: t.used) hops;
   Hashtbl.replace t.routes (src, dst) hops
+
+(* Links leave [used] only with the topology, so the sum never falls back
+   to an earlier value: equal generations mean no edit in between. *)
+let generation t =
+  List.fold_left (fun acc l -> acc + Link.generation l) t.edits t.used
 
 (* Full duplex: the reverse direction gets its own transmitter and queue. *)
 let mirror_link l =

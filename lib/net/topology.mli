@@ -38,6 +38,14 @@ val set_symmetric_route : t -> a:addr -> b:addr -> Link.t list -> unit
     failure injected there affects the [a]→[b] direction, which is what
     experiments drive. *)
 
+val generation : t -> int
+(** Configuration generation of this topology: the number of route edits
+    plus the {!Link.generation} of every link a route has held.  Any route
+    edit or routed-link mutation moves it; a mutation of a link that no
+    route of this topology has held does not.  Layers that memoize values
+    derived from paths (e.g. the MANTTS synthesis memo) compare
+    generations to invalidate. *)
+
 val route : t -> src:addr -> dst:addr -> Link.t list option
 (** Current route, if one is installed. *)
 

@@ -112,6 +112,21 @@ let test_derive_segment_fits_mtu () =
   check_bool "segment under path mtu" true (scs.Scs.segment_bytes <= 576 - 32);
   check_bool "detection at least checksum" true (scs.Scs.detection <> Params.No_detection)
 
+(* The synthesis memo must not serve a shape derived before the path
+   changed: a repeat open after an MTU shrink derives a segment that fits
+   the new MTU. *)
+let test_memo_sees_mtu_shrink () =
+  let hops = Profiles.lan_path () in
+  let stack, a, b = stack_with hops in
+  let acd = acd_for Qos.default b in
+  let open_seg () =
+    let s = Mantts.open_session stack.Adaptive.mantts ~src:a ~acd () in
+    (Session.scs s).Scs.segment_bytes
+  in
+  check_bool "first open uses the 1500-byte MTU" true (open_seg () > 576 - 32);
+  Link.set_mtu (List.hd hops) 576;
+  check_bool "repeat open fits the shrunk MTU" true (open_seg () <= 576 - 32)
+
 let test_derive_interactive_oltp () =
   let stack, a, b = stack_with (Profiles.lan_path ()) in
   let scs =
@@ -477,6 +492,7 @@ let suite =
           test_derive_multicast_teleconference;
         Alcotest.test_case "segment fits path MTU" `Quick test_derive_segment_fits_mtu;
         Alcotest.test_case "interactive OLTP" `Quick test_derive_interactive_oltp;
+        Alcotest.test_case "memo sees an MTU shrink" `Quick test_memo_sees_mtu_shrink;
         Alcotest.test_case "stage I agrees with Table 1" `Quick
           test_stage1_agrees_with_table1;
       ] );

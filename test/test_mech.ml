@@ -610,6 +610,37 @@ let test_codec_rejects_garbage () =
   check_bool "truncated payload" true
     (Codec.decode_unchecked (String.sub wire 0 30) = Error Codec.Truncated)
 
+(* A data payload that disagrees with [seg_bytes] ([Pdu.seg] refuses to
+   build one, the record does not): both encoders must treat it alike. *)
+let mis_sized_data ~declared text =
+  Pdu.Data
+    { conn = 3;
+      seg =
+        { (Pdu.seg ~seq:4 ~bytes:declared ()) with
+          Pdu.payload = Some (Adaptive_buf.Msg.of_string text) };
+      retransmit = false;
+      tx_stamp = Time.us 5 }
+
+let test_codec_short_payload () =
+  let pdu = mis_sized_data ~declared:10 "abc" in
+  let wire = Codec.encode pdu in
+  let buf = Bytes.make (Pdu.wire_bytes pdu) '\xCC' in
+  let n = Codec.encode_into (Codec.wire_state ()) pdu buf ~off:0 in
+  Alcotest.(check string) "encoders agree" wire (Bytes.sub_string buf 0 n);
+  Alcotest.(check string) "zero filler" "abc\000\000\000\000\000\000\000"
+    (String.sub wire 30 10)
+
+let test_codec_long_payload () =
+  let pdu = mis_sized_data ~declared:2 "abc" in
+  Alcotest.check_raises "encode"
+    (Invalid_argument "Codec.encode: payload exceeds declared length") (fun () ->
+      ignore (Codec.encode pdu));
+  Alcotest.check_raises "encode_into"
+    (Invalid_argument "Codec.encode_into: payload exceeds declared length") (fun () ->
+      ignore
+        (Codec.encode_into (Codec.wire_state ()) pdu
+           (Bytes.create (Pdu.wire_bytes pdu + 8)) ~off:0))
+
 let prop_codec_roundtrip =
   QCheck2.Test.make ~name:"codec roundtrips arbitrary data/ack/nack PDUs" ~count:300
     QCheck2.Gen.(
@@ -692,9 +723,11 @@ let gen_any_pdu =
           { conn; seg = seg ~bytes:(1 + (a mod 50)) a; retransmit = false;
             tx_stamp = Time.us 9 }
       | 2 ->
+        (* The block is as long as the longest covered segment, as
+           [Fec.parity_of] builds it. *)
         Pdu.Parity
           { conn; group_start = a; group_len = 2;
-            covered = [ seg ~bytes:3 a; seg ~bytes:3 (a + 1) ];
+            covered = [ seg ~bytes:(String.length text) a; seg ~bytes:3 (a + 1) ];
             parity = Some (Adaptive_buf.Msg.of_string text) }
       | 3 -> Pdu.Ack { conn; cum = a; window = b; sack = [ a + 1; a + 4 ]; echo = b }
       | 4 -> Pdu.Nack { conn; missing = [ a; a + 2 ] }
@@ -764,49 +797,6 @@ let prop_decode_view_equals_decode =
       | Error ea, Error eb -> ea = eb
       | Ok _, Error _ | Error _, Ok _ -> false)
 
-let prop_scan_data_agrees_with_decode_view =
-  QCheck2.Test.make
-    ~name:"scan_data classifies exactly as decode_view" ~count:800
-    QCheck2.Gen.(
-      pair gen_any_pdu (triple (int_range 0 3) (int_range 0 100_000) (int_range 0 9)))
-    (fun (pdu, (mutation, knob, off)) ->
-      let st = Codec.wire_state () in
-      let image = mutate (Codec.encode pdu) mutation knob in
-      let len = String.length image in
-      let padded = Bytes.make (off + len + 3) '\xEE' in
-      Bytes.blit_string image 0 padded off len;
-      let view = Codec.decode_view padded ~off ~len in
-      match Codec.scan_data st padded ~off ~len with
-      | Codec.Scan_not_data -> (
-        match view with
-        | Ok (Pdu.Data _) -> false
-        | Ok _ | Error _ -> true)
-      | Codec.Scan_truncated -> (
-        (* scan_data only judges data PDUs; a short non-data image is
-           classified Scan_truncated before the type check can run. *)
-        match view with
-        | Error Codec.Truncated -> true
-        | Ok (Pdu.Data _) -> false
-        | Ok _ | Error _ -> len < 32)
-      | Codec.Scan_bad_checksum -> view = Error Codec.Bad_checksum
-      | Codec.Scan_ok -> (
-        match view with
-        | Ok (Pdu.Data { conn; seg = s; retransmit; tx_stamp }) ->
-          Codec.scan_conn st = conn
-          && Codec.scan_seq st = s.Pdu.seq
-          && Codec.scan_last st = s.Pdu.app_last
-          && Codec.scan_retransmit st = retransmit
-          && Codec.scan_app_stamp st = s.Pdu.app_stamp
-          && Codec.scan_tx_stamp st = tx_stamp
-          && Codec.scan_payload_len st = s.Pdu.seg_bytes
-          && (match s.Pdu.payload with
-             | None -> true
-             | Some m ->
-               Bytes.sub_string padded (Codec.scan_payload_off st)
-                 (Codec.scan_payload_len st)
-               = Adaptive_buf.Msg.data_to_string m)
-        | Ok _ | Error _ -> false))
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -825,9 +815,19 @@ let suite =
         Alcotest.test_case "trailer checksum detects damage" `Quick
           test_codec_detects_damage;
         Alcotest.test_case "garbage rejected" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "short payload zero-filled by both encoders" `Quick
+          test_codec_short_payload;
+        Alcotest.test_case "long payload rejected by both encoders" `Quick
+          test_codec_long_payload;
       ]
       @ qsuite
-          [ prop_codec_roundtrip; prop_codec_decode_never_raises; prop_codec_bitflip_detected ]
+          [
+            prop_codec_roundtrip;
+            prop_codec_decode_never_raises;
+            prop_codec_bitflip_detected;
+            prop_encode_into_equals_encode;
+            prop_decode_view_equals_decode;
+          ]
     );
     ( "mech.params",
       [

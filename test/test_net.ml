@@ -151,6 +151,25 @@ let test_topology_route_switch () =
   check_int "after" (Time.ms 280)
     (Option.get (Topology.path_propagation topo ~src:a ~dst:b))
 
+(* Memo invalidation is per topology: a route edit or a change to a routed
+   link moves the generation, a change to another topology's link does
+   not. *)
+let test_topology_generation () =
+  let topo = Topology.create () and other = Topology.create () in
+  let a = Topology.add_host topo "a" and b = Topology.add_host topo "b" in
+  let x = Topology.add_host other "x" and y = Topology.add_host other "y" in
+  let routed = mk_link () and foreign = mk_link () in
+  Topology.set_route other ~src:x ~dst:y [ foreign ];
+  let g0 = Topology.generation topo in
+  Topology.set_route topo ~src:a ~dst:b [ routed ];
+  let g1 = Topology.generation topo in
+  check_bool "set_route moves it" true (g1 <> g0);
+  Link.set_ber routed 1e-6;
+  let g2 = Topology.generation topo in
+  check_bool "BER change on a routed link moves it" true (g2 <> g1);
+  Link.set_ber foreign 1e-6;
+  check_int "another topology's link leaves it" g2 (Topology.generation topo)
+
 (* --------------------------------------------------------------- Network *)
 
 type net_fixture = {
@@ -476,6 +495,7 @@ let suite =
       [
         Alcotest.test_case "hosts and routes" `Quick test_topology_hosts_routes;
         Alcotest.test_case "route switching" `Quick test_topology_route_switch;
+        Alcotest.test_case "generation is per topology" `Quick test_topology_generation;
       ] );
     ( "net.network",
       [
