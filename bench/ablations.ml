@@ -109,7 +109,7 @@ let a2_fec_group () =
     let recovered = Util.total p.Util.stack Unites.Fec_recovered in
     (100.0 *. delivered /. sent, recovered, 100.0 *. parity /. sent)
   in
-  Util.row "%-8s %12s %12s %14s@." "group" "delivered%%" "recovered" "overhead%%";
+  Util.row "%-8s %12s %12s %14s@." "group" "delivered%" "recovered" "overhead%";
   Util.rule 52;
   let results =
     List.map

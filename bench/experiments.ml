@@ -62,7 +62,7 @@ let e1_weight () =
   let s_ad, d_ad, p50_ad, p95_ad, miss_ad = run_voice `Adaptive in
   Util.row "voice over congested WAN (200 ms deadline):@.";
   Util.row "  %-22s %6s %6s %12s %12s %10s@." "configuration" "sent" "dlvrd" "p50" "p95"
-    "miss%%";
+    "miss%";
   Util.row "  %-22s %6d %6d %12s %12s %9.1f%%@." "tp4 (overweight)" s_tp4 d_tp4
     (Time.to_string p50_tp4) (Time.to_string p95_tp4) miss_tp4;
   Util.row "  %-22s %6d %6d %12s %12s %9.1f%%@." "adaptive lightweight" s_ad d_ad
@@ -229,7 +229,7 @@ let e3_fec () =
     let p99 = match lat with Some l -> l.Stats.p99 | None -> nan in
     (100.0 *. delivered, p99)
   in
-  Util.row "%-12s %24s %24s %20s@." "one-way" "srepeat dlvd%% / p99" "fec:8 dlvd%% / p99"
+  Util.row "%-12s %24s %24s %20s@." "one-way" "srepeat dlvd% / p99" "fec:8 dlvd% / p99"
     "latency winner";
   Util.rule 88;
   let fec_flat = ref true and arq_grows = ref (0.0, 0.0) in
@@ -411,7 +411,7 @@ let e5_reconfig () =
     (fun (at, _, what) -> Util.row "  [%8s] %s@." (Time.to_string at) what)
     (Mantts.adaptations ad_stack.Adaptive.mantts);
   Util.row "@.%-10s %10s %12s %12s %10s %12s@." "session" "segments" "delivered"
-    "late-drop" "lost" "delivered%%";
+    "late-drop" "lost" "delivered%";
   Util.row "%-10s %10.0f %12.0f %12.0f %10.0f %11.1f%%@." "adaptive" ad_sent ad_dlvd
     ad_late ad_lost
     (100.0 *. ad_dlvd /. Float.max 1.0 ad_sent);

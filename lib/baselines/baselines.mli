@@ -20,12 +20,6 @@ open Adaptive_core
 
 type kind = Tcp_like | Tp4_like | Udp_like
 
-val scs : kind -> Scs.t
-(** The fixed configuration of each baseline. *)
-
-val name : kind -> string
-(** "tcp", "tp4" or "udp". *)
-
 val connect :
   ?name:string ->
   ?on_deliver:(Session.t -> Session.delivery -> unit) ->

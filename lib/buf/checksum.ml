@@ -303,15 +303,3 @@ let crc32_msg m =
   let acc = ref 0xFFFFFFFF in
   Msg.iter_data m (fun b off len -> acc := crc32_fold_int !acc b off len);
   Int32.of_int (!acc lxor 0xFFFFFFFF)
-
-(* ------------------------------------------------------------- Adler *)
-
-let adler32 s =
-  let modulus = 65521 in
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod modulus;
-      b := (!b + !a) mod modulus)
-    s;
-  Int32.logor (Int32.shift_left (Int32.of_int !b) 16) (Int32.of_int !a)

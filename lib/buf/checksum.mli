@@ -60,6 +60,3 @@ val crc32 : string -> int32
 
 val crc32_msg : Msg.t -> int32
 (** CRC-32 over a message's data region, zero-copy. *)
-
-val adler32 : string -> int32
-(** Adler-32 rolling checksum. *)

@@ -15,24 +15,15 @@ type t = {
 (* Atomic: process-wide copy accounting must not tear or lose updates
    when parallel campaign tasks (lib/fleet) run the copy paths. *)
 let copies_counter = Atomic.make 0
-let bytes_counter = Atomic.make 0
-
-let charge_copy n =
-  Atomic.incr copies_counter;
-  ignore (Atomic.fetch_and_add bytes_counter n)
 
 let physical_copies () = Atomic.get copies_counter
-let copied_bytes () = Atomic.get bytes_counter
 
-let reset_copy_counters () =
-  Atomic.set copies_counter 0;
-  Atomic.set bytes_counter 0
+let reset_copy_counters () = Atomic.set copies_counter 0
 
 let of_bytes b =
   let n = Bytes.length b in
   { headers = []; hlen = 0; data = [ { base = b; off = 0; len = n } ]; dlen = n }
 
-let create n = of_bytes (Bytes.make n '\000')
 let of_string s = of_bytes (Bytes.of_string s)
 
 let of_bytes_slice b ~off ~len =
@@ -41,7 +32,6 @@ let of_bytes_slice b ~off ~len =
   { headers = []; hlen = 0; data = [ { base = b; off; len } ]; dlen = len }
 let data_length m = m.dlen
 let header_length m = m.hlen
-let total_length m = m.hlen + m.dlen
 
 let push m h =
   m.headers <- h :: m.headers;
@@ -54,10 +44,6 @@ let pop m =
     m.headers <- rest;
     m.hlen <- m.hlen - String.length h;
     Some h
-
-let peek_header m = match m.headers with [] -> None | h :: _ -> Some h
-
-let copy m = { headers = m.headers; hlen = m.hlen; data = m.data; dlen = m.dlen }
 
 let split m n =
   if n < 0 || n > m.dlen then invalid_arg "Msg.split: index out of range";
@@ -113,32 +99,15 @@ let detach m =
   let n = m.dlen in
   let b = Bytes.create n in
   blit_segments m.data b 0;
-  charge_copy n;
+  Atomic.incr copies_counter;
   { headers = m.headers; hlen = m.hlen; data = [ { base = b; off = 0; len = n } ]; dlen = n }
 
 let data_to_string m =
   let n = m.dlen in
   let b = Bytes.create n in
   blit_segments m.data b 0;
-  charge_copy n;
+  Atomic.incr copies_counter;
   Bytes.unsafe_to_string b
-
-let to_string m =
-  let hl = m.hlen and dl = m.dlen in
-  let b = Bytes.create (hl + dl) in
-  let pos = ref 0 in
-  List.iter
-    (fun h ->
-      Bytes.blit_string h 0 b !pos (String.length h);
-      pos := !pos + String.length h)
-    m.headers;
-  blit_segments m.data b !pos;
-  charge_copy (hl + dl);
-  Bytes.unsafe_to_string b
-
-let blit_data m dst off =
-  blit_segments m.data dst off;
-  charge_copy m.dlen
 
 (* Top-level recursion, not [List.iter] with a wrapper lambda: the
    wire-true encoder runs this per data PDU, and the wrapper closure

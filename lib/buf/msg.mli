@@ -4,18 +4,15 @@
     protocol headers, outermost first) and a {e data region} (a list of
     byte segments).  The representation is designed so that the operations
     protocol layers perform constantly — prepending a header
-    ([TKO_Message::push]), stripping one ([TKO_Message::pop]), copying a
-    message between layers, fragmenting to an MTU and reassembling — do
-    {e not} touch payload bytes.  Payload bytes are shared between copies
-    and fragments ("lazy copying"); the module counts every physical byte
-    actually moved, so the throughput-preservation experiments can charge
-    memory-to-memory copy costs precisely. *)
+    ([TKO_Message::push]), stripping one ([TKO_Message::pop]), splitting,
+    fragmenting to an MTU and reassembling — do {e not} touch payload
+    bytes.  Payload bytes are shared between fragments ("lazy copying");
+    the module counts every physical copy actually made, so the
+    throughput-preservation experiments can charge memory-to-memory copy
+    costs precisely. *)
 
 type t
 (** A message. *)
-
-val create : int -> t
-(** [create n] is a message with [n] zero bytes of data and no headers. *)
 
 val of_string : string -> t
 (** Message whose data region holds the bytes of the string. *)
@@ -39,9 +36,6 @@ val header_length : t -> int
 (** Bytes in the header region (sum of pushed headers).  O(1): maintained
     incrementally by {!push}/{!pop}. *)
 
-val total_length : t -> int
-(** [header_length m + data_length m] — what goes on the wire.  O(1). *)
-
 val push : t -> string -> unit
 (** [push m h] prepends header [h] as the new outermost header.  O(1),
     copies only the header bytes. *)
@@ -49,13 +43,6 @@ val push : t -> string -> unit
 val pop : t -> string option
 (** [pop m] removes and returns the outermost header, or [None] if the
     header region is empty.  O(1). *)
-
-val peek_header : t -> string option
-(** Outermost header without removing it. *)
-
-val copy : t -> t
-(** Logical copy.  Headers are copied (they are small and mutable per
-    layer); data segments are shared.  No payload bytes move. *)
 
 val detach : t -> t
 (** [detach m] is a message with the same contents whose data region is a
@@ -80,16 +67,8 @@ val concat : t list -> t
     concatenation of all the inputs' data regions (reassembly).  Shares
     payload bytes. *)
 
-val to_string : t -> string
-(** Materialize the whole message, headers then data.  This is a physical
-    copy and is counted as one. *)
-
 val data_to_string : t -> string
 (** Materialize only the data region (counted as a physical copy). *)
-
-val blit_data : t -> Bytes.t -> int -> unit
-(** [blit_data m dst off] physically copies the data region into [dst] at
-    [off] (counted). *)
 
 val iter_data : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** Iterate over the underlying data segments without copying. *)
@@ -98,8 +77,5 @@ val physical_copies : unit -> int
 (** Number of physical copy operations performed since the last
     {!reset_copy_counters}. *)
 
-val copied_bytes : unit -> int
-(** Number of payload bytes physically moved since the last reset. *)
-
 val reset_copy_counters : unit -> unit
-(** Zero both copy counters. *)
+(** Zero the copy counter. *)

@@ -1,13 +1,9 @@
 type t = {
   size : int;
-  mutable cap : int;
+  cap : int;
   mutable free_list : Bytes.t list;
-  mutable free_count : int; (* length of [free_list], maintained so that
-                               [available] and [free] stay O(1) *)
   mutable used : int;
   mutable miss_count : int;
-  mutable alloc_count : int;
-  mutable discard_count : int;
   mutable lease_hit_count : int;
   mutable lease_fresh_count : int;
 }
@@ -18,20 +14,18 @@ let create ~buffers ~size =
     size;
     cap = buffers;
     free_list = List.init buffers (fun _ -> Bytes.create size);
-    free_count = buffers;
     used = 0;
     miss_count = 0;
-    alloc_count = 0;
-    discard_count = 0;
     lease_hit_count = 0;
     lease_fresh_count = 0;
   }
 
-let buffer_size t = t.size
 let capacity t = t.cap
-let available t = t.free_count
 let in_use t = t.used
+let misses t = t.miss_count
 
+(* Only [release] returns buffers, once per pooled lease, so the free list
+   never exceeds the capacity. *)
 let alloc t =
   match t.free_list with
   | [] ->
@@ -39,42 +33,12 @@ let alloc t =
     None
   | b :: rest ->
     t.free_list <- rest;
-    t.free_count <- t.free_count - 1;
     t.used <- t.used + 1;
-    t.alloc_count <- t.alloc_count + 1;
     Some b
 
 let free t b =
-  if Bytes.length b <> t.size then invalid_arg "Pool.free: wrong buffer size";
-  if t.used = 0 then invalid_arg "Pool.free: pool already full";
   t.used <- t.used - 1;
-  if t.free_count + t.used < t.cap then begin
-    t.free_list <- b :: t.free_list;
-    t.free_count <- t.free_count + 1
-  end
-  else t.discard_count <- t.discard_count + 1
-
-let resize t ~buffers =
-  if buffers < 0 then invalid_arg "Pool.resize";
-  let target_free = max 0 (buffers - t.used) in
-  if target_free > t.free_count then
-    t.free_list <-
-      List.init (target_free - t.free_count) (fun _ -> Bytes.create t.size)
-      @ t.free_list
-  else if target_free < t.free_count then begin
-    let rec take n = function
-      | [] -> []
-      | _ :: rest when n > 0 -> take (n - 1) rest
-      | l -> l
-    in
-    t.free_list <- take (t.free_count - target_free) t.free_list
-  end;
-  t.free_count <- target_free;
-  t.cap <- buffers
-
-let misses t = t.miss_count
-let allocations t = t.alloc_count
-let free_discarded t = t.discard_count
+  t.free_list <- b :: t.free_list
 
 (* ------------------------------------------------------------ leases *)
 

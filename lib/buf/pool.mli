@@ -2,51 +2,24 @@
 
     MANTTS negotiates buffer space per session; the pool models that
     resource.  Allocation failures are how "insufficient buffer space"
-    conditions reach the reconfiguration policies (e.g. a receiver whose
-    pool shrinks triggers the application callback path of §4.1.2). *)
+    conditions reach the reconfiguration policies (§4.1.2).  Buffers are
+    taken and returned only through {!lease} and {!release}. *)
 
 type t
 (** A pool of equally sized buffers. *)
 
 val create : buffers:int -> size:int -> t
-(** [create ~buffers ~size] holds [buffers] buffers of [size] bytes. *)
-
-val buffer_size : t -> int
-(** Size of each buffer in bytes. *)
+(** [create ~buffers ~size] holds [buffers] buffers of [size] bytes.  The
+    capacity is fixed for the pool's lifetime. *)
 
 val capacity : t -> int
 (** Total number of buffers. *)
 
-val available : t -> int
-(** Buffers currently free.  O(1): the free count is tracked in a
-    mutable field rather than recomputed from the free list. *)
-
 val in_use : t -> int
-(** Buffers currently allocated. *)
-
-val alloc : t -> Bytes.t option
-(** Take a buffer, or [None] when exhausted (counted as a miss). *)
-
-val free : t -> Bytes.t -> unit
-(** Return a buffer to the pool.  O(1).  Raises [Invalid_argument] on a
-    buffer of the wrong size or when the pool is already full.  A buffer
-    returned while the pool is above capacity (after a shrinking
-    {!resize}) is dropped and counted by {!free_discarded}. *)
-
-val resize : t -> buffers:int -> unit
-(** Change the pool capacity (renegotiated buffer space).  Shrinking below
-    the number of in-use buffers keeps those buffers alive; they simply may
-    not all be returnable until capacity grows again. *)
+(** Pool buffers currently held by a lease. *)
 
 val misses : t -> int
-(** Number of failed allocations since creation. *)
-
-val allocations : t -> int
-(** Number of successful allocations since creation. *)
-
-val free_discarded : t -> int
-(** Number of returned buffers dropped because the pool was already at
-    capacity when they came back. *)
+(** Leases that found the pool empty since creation. *)
 
 (** {2 Leases}
 

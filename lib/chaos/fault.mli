@@ -44,7 +44,6 @@ type fault = {
 
 type schedule = fault list
 
-val pp_fault : Format.formatter -> fault -> unit
 val pp_schedule : Format.formatter -> schedule -> unit
 (** Stable renderings used in minimal-repro reports. *)
 

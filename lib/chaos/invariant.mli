@@ -30,8 +30,6 @@ type kind =
   | Injected_sabotage  (** Deliberately planted by {!inject_violation} —
                            the shrinker's self-test target. *)
 
-val kind_to_string : kind -> string
-
 type violation = {
   at : Time.t;
   label : string;  (** Session label, or "-" for system-wide oracles. *)

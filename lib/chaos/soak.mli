@@ -11,18 +11,11 @@
     schedule — dropping faults one at a time, then halving durations —
     to a minimal still-failing repro. *)
 
-open Adaptive_sim
-
 type environment = Campus | Internet | Satellite
 
 val all_environments : environment list
 val environment_name : environment -> string
 val environment_of_name : string -> environment option
-
-val schedule_of_seed : env:environment -> seed:int -> Fault.schedule
-(** The schedule a seeded run draws: an independent generator seeded
-    from [(seed, env)], so the stack's own randomness never perturbs the
-    fault pattern. *)
 
 type outcome = {
   o_seed : int;
@@ -67,7 +60,9 @@ val run_schedule :
 
 val run_one :
   ?sabotage:bool -> ?wire:bool -> env:environment -> seed:int -> unit -> outcome
-(** [run_schedule] of {!schedule_of_seed}. *)
+(** [run_schedule] of the schedule a seeded run draws: an independent
+    generator seeded from [(seed, env)], so the stack's own randomness
+    never perturbs the fault pattern ([o_schedule] reports it). *)
 
 type shrink_result = {
   s_original : int;  (** Faults in the failing schedule. *)
@@ -122,7 +117,3 @@ val soak :
     [progress] callbacks — is byte-identical at every [jobs].  Raises
     [Invalid_argument "Soak.soak: no environments"] on an empty
     [environments]. *)
-
-val duration : Time.t
-(** How long each run's applications generate traffic (16 s); the
-    engine runs a further liveness-bound tail beyond this. *)

@@ -39,18 +39,6 @@ let make ?explicit_tsc ?(tsa = []) ?(tmc = default_tmc) ~participants ~qos () =
   if participants = [] then invalid_arg "Acd.make: no participants";
   { participants; qos; explicit_tsc; tsa; tmc }
 
-let rec condition_to_string = function
-  | Loss_rate_above p -> Printf.sprintf "loss-rate > %.3f" p
-  | Rtt_above d -> Printf.sprintf "rtt > %s" (Time.to_string d)
-  | Rtt_below d -> Printf.sprintf "rtt < %s" (Time.to_string d)
-  | Congestion_above u -> Printf.sprintf "congestion > %.2f" u
-  | Congestion_below u -> Printf.sprintf "congestion < %.2f" u
-  | Receivers_above n -> Printf.sprintf "receivers > %d" n
-  | Receivers_below n -> Printf.sprintf "receivers < %d" n
-  | Route_changed -> "route changed"
-  | All_of cs -> "(" ^ String.concat " and " (List.map condition_to_string cs) ^ ")"
-  | Any_of cs -> "(" ^ String.concat " or " (List.map condition_to_string cs) ^ ")"
-
 let action_to_string = function
   | Switch_recovery r -> "switch recovery to " ^ Params.recovery_to_string r
   | Switch_reporting r -> "switch reporting to " ^ Params.reporting_to_string r

@@ -69,9 +69,6 @@ val make :
 val default_tmc : tmc
 (** Empty collection list, 1 s sampling. *)
 
-val condition_to_string : condition -> string
-(** Rendering used in reports and the Table 2 regeneration. *)
-
 val action_to_string : action -> string
 (** Rendering used in reports and the Table 2 regeneration. *)
 

@@ -227,16 +227,6 @@ let retire t ~key ~expiry =
     twq_push t key expiry
   end
 
-let remove t key =
-  let slot = find t key in
-  if slot < 0 then false
-  else begin
-    clear_slot t slot;
-    t.states.(slot) <- s_tomb;
-    t.tombs <- t.tombs + 1;
-    true
-  end
-
 (* Pop expired entries off the FIFO front.  A queue entry may be stale —
    its key re-inserted or re-retired since — so the slot must still be in
    time-wait with an expiry that has actually passed before it is freed;
@@ -266,17 +256,3 @@ let sweep t ~now =
     else continue := false
   done;
   !expired
-
-let iter_live f t =
-  for slot = 0 to t.mask do
-    let s = t.states.(slot) in
-    if s = s_half || s = s_open then
-      match t.values.(slot) with
-      | Some v -> f t.keys.(slot) v
-      | None -> ()
-  done
-
-let fold_live f t init =
-  let acc = ref init in
-  iter_live (fun k v -> acc := f k v !acc) t;
-  !acc

@@ -48,9 +48,6 @@ val retire : 'a t -> key:int -> expiry:Time.t -> unit
     No-op if [key] is absent; a live entry's value reference is cleared
     so the session object can be collected. *)
 
-val remove : 'a t -> int -> bool
-(** Delete [key] entirely (tombstone).  Returns whether it was present. *)
-
 val sweep : 'a t -> now:Time.t -> int
 (** Expire every time-wait entry with [expiry <= now]; returns how many
     were reclaimed.  Cost is O(entries expired), not O(capacity): retired
@@ -73,14 +70,6 @@ val slot_value : 'a t -> int -> 'a
 val find_live : 'a t -> int -> 'a option
 (** Convenience wrapper: the live (half-open or open) value under a key,
     if any.  Allocates; not for the hot path. *)
-
-(** {1 Iteration} *)
-
-val iter_live : (int -> 'a -> unit) -> 'a t -> unit
-(** Visit live entries in slot order (deterministic for a given insertion
-    history). *)
-
-val fold_live : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
 (** {1 Occupancy and probe telemetry} *)
 

@@ -37,9 +37,6 @@ val distinguishable : replication -> replication -> bool
 (** Whether the two configurations' confidence intervals do not overlap —
     the conservative "A really is different from B" test. *)
 
-val pp : Format.formatter -> replication -> unit
-(** "mean ± half-width (n=...)". *)
-
 val compare_table :
   label_a:string ->
   label_b:string ->

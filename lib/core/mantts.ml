@@ -153,7 +153,6 @@ let engine t = t.t_engine
 let network t = t.net
 let unites t = t.t_unites
 let set_admission t policy = t.admission <- policy
-let admission_policy t = t.admission
 let tick_stats t = (t.tick_rounds, t.tick_walked)
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +324,6 @@ let entity t addr =
   | None -> raise Not_found
 
 let dispatcher e = e.e_disp
-let pool e = e.e_pool
 let set_app_handler e f = e.e_app <- f
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,6 @@
     reconfigurations through segue. *)
 
 open Adaptive_sim
-open Adaptive_buf
 open Adaptive_net
 open Adaptive_mech
 
@@ -50,9 +49,6 @@ val entity : t -> Network.addr -> entity
 
 val dispatcher : entity -> Session.Dispatcher.dispatcher
 (** The host's PDU demultiplexer. *)
-
-val pool : entity -> Pool.t
-(** The host's buffer pool. *)
 
 val set_app_handler : entity -> (Session.t -> Session.delivery -> unit) -> unit
 (** Application callback for passively accepted sessions at this host. *)
@@ -99,21 +95,12 @@ val set_admission : t -> admission_policy option -> unit
 (** Install (or clear, with [None]) the admission policy.  Default: no
     policy — every open is [Admitted]. *)
 
-val admission_policy : t -> admission_policy option
-(** The policy currently in force. *)
-
 val tick_stats : t -> int * int
 (** [(rounds, walked)] — cumulative shared-monitor-tick firings and live
     monitors walked across them.  [walked / rounds] is the mean per-tick
     working set: with the dense monitored array it tracks the {e
     monitored} population, not the session population, which is the
     O(active) control-plane claim the megaswarm bench records. *)
-
-val degrade_scs : Scs.t -> Scs.t
-(** The graceful-degradation transform: preserves reliability, ordering,
-    duplicate handling and delivery semantics, but shrinks the window (or
-    halves the pacing rate), caps the receive-buffer commitment, weakens
-    CRC32 to the internet checksum and demotes scheduling priority. *)
 
 val open_session :
   ?name:string ->

@@ -47,9 +47,6 @@ val connect : t -> upper:string -> lower:string -> (unit, string) result
 (** Add a uses-service-of edge; fails on unknown layers, self-edges, or
     edges that would create a cycle. *)
 
-val disconnect : t -> upper:string -> lower:string -> unit
-(** Remove an edge; absent edges are ignored. *)
-
 val insert_between :
   t -> layer -> upper:string -> lower:string -> (unit, string) result
 (** The classic graph edit: splice a new layer into an existing edge
@@ -57,9 +54,6 @@ val insert_between :
 
 val layers : t -> layer list
 (** All nodes, in insertion order. *)
-
-val find : t -> string -> layer option
-(** Look a layer up by name. *)
 
 val lowers : t -> string -> string list
 (** Services a layer uses, in edge-insertion order. *)

@@ -93,18 +93,3 @@ let levels t =
     order_sensitivity = (if t.ordered then High else Low);
     loss_tolerance_level = loss_level t.loss_tolerance;
   }
-
-let pp fmt t =
-  let pp_opt_time fmt = function
-    | None -> Format.pp_print_string fmt "unbounded"
-    | Some v -> Time.pp fmt v
-  in
-  Format.fprintf fmt
-    "@[<v>avg %.0f bps, peak %.0f bps@,\
-     latency %a, jitter %a@,\
-     loss tolerance %.3f@,\
-     ordered=%b dup-sensitive=%b realtime=%b isochronous=%b@,\
-     interactive=%b multicast=%b priority=%b duration %a@]"
-    t.avg_bps t.peak_bps pp_opt_time t.max_latency pp_opt_time t.max_jitter
-    t.loss_tolerance t.ordered t.duplicate_sensitive t.realtime t.isochronous
-    t.interactive t.multicast t.priority pp_opt_time t.duration

@@ -55,9 +55,3 @@ type levels = {
 
 val levels : t -> levels
 (** Grade a quantitative requirement into Table 1 vocabulary. *)
-
-val burst_ratio : t -> float
-(** [peak_bps /. avg_bps] (1.0 when [avg_bps] is 0). *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line dump of every field. *)

@@ -1199,21 +1199,16 @@ module Dispatcher = struct
 
   let addr d = d.d_addr
   let host d = d.d_host
-  let unites d = d.d_unites
-  let engine d = d.d_engine
   let network d = d.net
   let set_acceptor d f = d.acceptor <- Some f
   let set_delivery_tap d f = d.d_tap <- Some f
   let set_on_close d f = d.d_on_close <- Some f
-  let endpoints d = Conntable.fold_live (fun _ ep acc -> ep :: acc) d.conns []
   let committed_recv_segments d = d.d_committed
   let session_count d = Conntable.live_count d.conns
   let half_open_count d = Conntable.half_open_count d.conns
   let time_wait_count d = Conntable.time_wait_count d.conns
   let table_capacity d = Conntable.capacity d.conns
-  let table_occupancy d = Conntable.occupancy d.conns
   let tw_sweep_stats d = (d.tw_sweeps, d.tw_expired)
-  let time_wait_period = time_wait_period
 end
 
 (* ------------------------------------------------------------------ *)

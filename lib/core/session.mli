@@ -59,8 +59,6 @@ module Dispatcher : sig
 
   val addr : dispatcher -> Network.addr
   val host : dispatcher -> Host.t
-  val unites : dispatcher -> Unites.t
-  val engine : dispatcher -> Engine.t
   val network : dispatcher -> Pdu.t Network.t
 
   val set_acceptor :
@@ -85,10 +83,6 @@ module Dispatcher : sig
       [Fin], setup give-up).  MANTTS retires its policy monitor here
       instead of sweeping the whole monitor population every tick. *)
 
-  val endpoints : dispatcher -> t list
-  (** Live endpoints at this host.  O(table capacity) — maintenance code
-      only; the hot paths use the running counters below. *)
-
   val committed_recv_segments : dispatcher -> int
   (** Sum of every live endpoint's negotiated [recv_buffer_segments],
       maintained incrementally (insert, segue, close) so admission
@@ -107,21 +101,12 @@ module Dispatcher : sig
   val table_capacity : dispatcher -> int
   (** Current connection-table capacity (a power of two). *)
 
-  val table_occupancy : dispatcher -> float
-  (** (live + time-wait) / capacity, in [0, 1]. *)
-
   val tw_sweep_stats : dispatcher -> int * int
   (** [(sweeps, expired)] — cumulative coalesced time-wait sweeper
       firings and entries they expired.  [expired / sweeps] shows the
       sweeper doing O(expired) work per firing rather than one timer per
       closed connection; the megaswarm bench reports it alongside the
       monitor-tick stats. *)
-
-  val time_wait_period : Time.t
-  (** How long a closed connection id lingers in time-wait.  Late
-      non-[Fin] segments arriving within this window are dropped (and
-      counted under {!Unites.Timewait_drops}); [Fin] retries are
-      re-answered so the peer can finish its own teardown. *)
 end
 
 val connect :

@@ -25,24 +25,6 @@ let default_policy =
     debounce = 2;
   }
 
-(* Thresholds no signal can reach: loss and utilization live in [0, 1],
-   so [infinity] bounds are never exceeded and negative bounds are never
-   undershot; [max_int] idleness outlives any horizon.  The debounce is
-   also unreachable — rules whose trigger is a structural condition
-   rather than a threshold (the backlog rule watches queue occupancy
-   against an infinite congestion bound) must be silenced too. *)
-let infinite =
-  {
-    loss_hi = infinity;
-    loss_lo = -1.0;
-    fec_loss_hi = infinity;
-    fec_group = 8;
-    cong_hi = infinity;
-    cong_lo = -1.0;
-    idle_after = max_int;
-    debounce = max_int;
-  }
-
 type watch = {
   w_session : Session.t;
   w_base : Scs.t;  (* configuration at watch time — the restore target *)
@@ -71,7 +53,6 @@ type t = {
   mutable dead : int;
   mutable timer : Engine.Timer.timer option;
   mutable armed : bool;
-  mutable swap_log : (Time.t * int * string) list;  (* newest first *)
   mutable n_swaps : int;
   mutable n_blocked : int;
 }
@@ -90,13 +71,10 @@ let create ?(policy = default_policy) mantts =
     dead = 0;
     timer = None;
     armed = false;
-    swap_log = [];
     n_swaps = 0;
     n_blocked = 0;
   }
 
-let policy t = t.pol
-let swaps t = List.rev t.swap_log
 let swap_count t = t.n_swaps
 let blocked_count t = t.n_blocked
 
@@ -388,7 +366,6 @@ let apply t watch ~now desc next on_success =
       Trace.event trace ~at:now ~category:"steer.swap"
         ~detail:(Printf.sprintf "%d:%s" (Session.id watch.w_session) desc)
     | None -> ());
-    t.swap_log <- (now, Session.id watch.w_session, desc) :: t.swap_log;
     t.n_swaps <- t.n_swaps + 1;
     on_success ();
     true

@@ -52,12 +52,6 @@ val default_policy : policy
 (** loss 5% / 1% bands, FEC above 15% for group-8 parity, congestion
     85% / 40% bands, 1 s idle shedding, 2-tick debounce. *)
 
-val infinite : policy
-(** Every threshold infinite (and [idle_after] beyond any horizon): no
-    rule can ever fire.  A run steered by this policy is observationally
-    identical — same trace digest — to an unsteered run, which the
-    property suite checks. *)
-
 type t
 (** One steering engine over one MANTTS instance. *)
 
@@ -67,20 +61,14 @@ val create : ?policy:policy -> Mantts.t -> t
     tick at {!Mantts.monitor_interval} that walks every live watch in
     session-id order — O(watched) per tick, one engine timer total. *)
 
-val policy : t -> policy
-
 val watch : t -> ?loss_tolerant:bool -> Session.t -> unit
 (** Put a session under closed-loop steering.  [loss_tolerant] (default
     [false]) widens the action space to semantics-trading swaps (ARQ →
     FEC, idle shedding of recovery); without it STEER only applies
-    semantics-preserving swaps, mirroring {!Mantts.degrade_scs}.
+    semantics-preserving swaps, mirroring MANTTS admission's graceful
+    degradation.
     Statically bound sessions ({!Tko.Static_template}) cannot segue and
     are ignored. *)
-
-val swaps : t -> (Time.t * int * string) list
-(** Every swap STEER applied: time, session id, description — oldest
-    first.  Descriptions of component switches start with ["switch "];
-    rate/window adjustments with ["scale "]. *)
 
 val swap_count : t -> int
 (** Swaps applied (= {!Unites.Steer_swaps} total). *)

@@ -80,9 +80,6 @@ module Templates : sig
   val transaction : string
   (** Reconfigurable: implicit-setup request/response. *)
 
-  val reliable_multicast : string
-  (** Reconfigurable: NACK-based selective-repeat multicast. *)
-
   val swarm_lite : string
   (** Reconfigurable: the minimal-footprint configuration MANTTS admission
       control counter-proposes under overload — reliable and ordered, but

@@ -16,14 +16,6 @@ let name = function
   | Realtime_non_isochronous -> "Real-Time Non-Isochronous"
   | Non_realtime_non_isochronous -> "Non-Real-Time Non-Isochronous"
 
-let all =
-  [
-    Interactive_isochronous;
-    Distributional_isochronous;
-    Realtime_non_isochronous;
-    Non_realtime_non_isochronous;
-  ]
-
 type policies = {
   full_reliability : bool;
   bounded_latency : bool;

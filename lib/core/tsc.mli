@@ -24,9 +24,6 @@ val classify : Qos.t -> t
 val name : t -> string
 (** Display name as used in Table 1's first column. *)
 
-val all : t list
-(** The four classes, in Table 1 order. *)
-
 type policies = {
   full_reliability : bool;
       (** Every byte must arrive: ARQ recovery, strong detection. *)

@@ -317,7 +317,6 @@ let route t session =
   end
 
 let whitebox_enabled t = t.whitebox
-let set_whitebox t v = t.whitebox <- v
 let register_session t ~id ~name =
   (* First registration wins: the initiator names the session; the
      responder's acceptance label is secondary.  Overflow-routed
@@ -453,11 +452,6 @@ let journal_drain t f =
   done;
   t.journal_len <- 0
 
-let mean t ~session m =
-  match Hashtbl.find t.table (key session (metric_index m)) with
-  | s -> Stats.mean s
-  | exception Not_found -> nan
-
 let aggregate_acc t m =
   let mi = metric_index m in
   Hashtbl.fold
@@ -483,10 +477,6 @@ let aggregate_total t m =
       end)
     t.table;
   !sum
-
-let sessions t =
-  Hashtbl.fold (fun id name acc -> (id, name) :: acc) t.names []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let whitebox_samples t = t.whitebox_count
 let attach_trace t trace = t.trace <- Some trace
@@ -518,13 +508,6 @@ let cell_fold f acc c =
     | Some h -> Hashtbl.fold (fun slot v acc -> f acc slot v) h acc
   in
   f acc c.bslot c.bcur.(0)
-
-let series t ~session m =
-  match Hashtbl.find_opt t.buckets (key session (metric_index m)) with
-  | None -> []
-  | Some c ->
-    cell_fold (fun acc slot v -> (slot * t.bucket, v) :: acc) [] c
-    |> List.sort compare
 
 let aggregate_series t m =
   let mi = metric_index m in

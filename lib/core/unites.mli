@@ -104,7 +104,7 @@ val create :
   ?estimator:Stats.estimator -> ?session_cap:int -> Engine.t -> t
 (** [create engine] makes a repository; [whitebox] (default [true])
     enables whitebox collection.  [bucket] (default 1 s) is the width of
-    the time buckets behind {!series} — the TMC "sampling rate".
+    the time buckets behind {!aggregate_series} — the TMC "sampling rate".
     [reservoir] (default 8192) bounds each per-session accumulator's
     quantile sample; many-session workloads shrink it so tens of
     thousands of sessions do not cost 64 KiB of reservoir each.
@@ -114,9 +114,9 @@ val create :
     regardless of sample volume.  [session_cap] (default unbounded)
     bounds the number of real sessions tracked individually: the first
     [session_cap] distinct session ids (deterministic first-contact
-    order) keep per-session accumulators, later ones fold into
-    {!overflow_session} so GIGASWARM-scale runs hold per-session state
-    for a bounded prefix while totals stay exact. *)
+    order) keep per-session accumulators, later ones fold into the
+    reserved overflow session ([-5]) so GIGASWARM-scale runs hold
+    per-session state for a bounded prefix while totals stay exact. *)
 
 val set_session_cap : t -> int -> unit
 (** Adjust the individually-tracked session bound (min 1).  Sessions
@@ -124,9 +124,6 @@ val set_session_cap : t -> int -> unit
 
 val whitebox_enabled : t -> bool
 (** Whether whitebox metrics are being recorded. *)
-
-val set_whitebox : t -> bool -> unit
-(** Toggle whitebox collection. *)
 
 val register_session : t -> id:int -> name:string -> unit
 (** Announce a session so reports can label it. *)
@@ -148,9 +145,6 @@ val stats : t -> session:int -> metric -> Stats.summary option
 
 val total : t -> session:int -> metric -> float
 (** Sum of a session's observations (0 when none). *)
-
-val mean : t -> session:int -> metric -> float
-(** Mean of a session's observations ([nan] when none). *)
 
 (** {2 Write journal}
 
@@ -181,16 +175,9 @@ val aggregate_total : t -> metric -> float
 (** System-wide sum: the cells' totals added in table order, bit-identical
     to the total of the {!aggregate} accumulator without building it. *)
 
-val sessions : t -> (int * string) list
-(** Registered sessions in id order. *)
-
 val whitebox_samples : t -> int
 (** Whitebox observations actually recorded — the instrumentation
     activity the overhead experiment charges for. *)
-
-val scheduler_session : int
-(** Reserved pseudo-session id under which scheduler overhead metrics
-    are recorded (real connection ids start at 1). *)
 
 val chaos_session : int
 (** Reserved pseudo-session id ([-1]) under which the chaos subsystem
@@ -218,11 +205,6 @@ val steer_session : int
     {!Steer_time_in_config} — the steering loop belongs to the stack,
     not to any one connection. *)
 
-val overflow_session : int
-(** Reserved pseudo-session id ([-5]) that absorbs observations from
-    real sessions beyond the [session_cap]: their totals are preserved
-    in aggregate under this id instead of per-session accumulators. *)
-
 val attach_trace : t -> Trace.t -> unit
 (** Attach a trace sink so {!report} presents its counters — including
     the dropped-entry count of the bounded event log — alongside the
@@ -230,20 +212,6 @@ val attach_trace : t -> Trace.t -> unit
 
 val attached_trace : t -> Trace.t option
 (** The sink given to {!attach_trace}, if any. *)
-
-val sample_scheduler : t -> unit
-(** Fold the engine's whitebox scheduler counters ({!Engine.counters})
-    into the repository under {!scheduler_session}: events fired and
-    timers re-armed since the previous sample, plus the current
-    cancelled-entry ratio and wheel hit rate.  Called automatically by
-    {!report}; experiments can also call it periodically to build the
-    bucketed series.  A no-op while whitebox collection is off. *)
-
-val series : t -> session:int -> metric -> (Time.t * float) list
-(** Per-bucket totals of a session's metric over simulated time, oldest
-    first: [(bucket_start, sum_of_observations_in_bucket)].  Empty
-    buckets are omitted.  This is the presentation UNITES' interactive
-    displays draw from (Figure 6). *)
 
 val aggregate_series : t -> metric -> (Time.t * float) list
 (** Bucketed totals across every session. *)

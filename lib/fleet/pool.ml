@@ -28,8 +28,6 @@ type t = {
   mutable p_domains : unit Domain.t list;
 }
 
-let jobs t = t.p_jobs
-
 let fill fut result =
   Mutex.lock fut.f_mutex;
   fut.f_state <- result;

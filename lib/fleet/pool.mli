@@ -13,33 +13,25 @@
     parallel runs are checked byte-for-byte against. *)
 
 type t
-(** A pool; owns its worker domains until {!shutdown}. *)
-
-val create : jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs] worker domains when [jobs > 1],
-    none otherwise.  The backlog of accepted thunks is bounded at
-    [4 * jobs]; a full queue makes {!submit} block, so memory for an
-    enormous campaign stays proportional to [jobs], not to the
-    campaign.  [jobs] must be positive ([Invalid_argument]). *)
-
-val jobs : t -> int
-(** The parallelism this pool was created with. *)
+(** A pool; owns its worker domains until {!with_pool} shuts it down. *)
 
 type 'a future
 (** The eventual result of a submitted task. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a task.  Blocks while the queue is at its bound.  Raises
-    [Invalid_argument] after {!shutdown}. *)
+    [Invalid_argument] once the pool is shut down. *)
 
 val await : 'a future -> 'a
 (** Block until the task finishes; returns its value or re-raises its
     exception with the original backtrace. *)
 
-val shutdown : t -> unit
-(** Run every queued task to completion, then join the worker domains.
-    Idempotent; further {!submit}s raise. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
-    afterwards, whether [f] returns or raises. *)
+    afterwards, whether [f] returns or raises: every queued task runs to
+    completion, then the workers are joined.  The pool spawns [jobs]
+    worker domains when [jobs > 1], none otherwise, and bounds its
+    backlog of accepted thunks at [4 * jobs]; a full queue makes
+    {!submit} block, so memory for an enormous campaign stays
+    proportional to [jobs], not to the campaign.  [jobs] must be
+    positive ([Invalid_argument]). *)

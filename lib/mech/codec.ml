@@ -246,8 +246,6 @@ let rec decode_body b =
     end
     else Error (Bad_type tag)
 
-let decode_unchecked s = decode_body (Bytes.of_string s)
-
 let decode s =
   let b = Bytes.of_string s in
   if Bytes.length b < 8 then Error Truncated

@@ -33,10 +33,6 @@ val decode : string -> (Pdu.t, error) result
 (** Parse and verify a PDU.  Decoded data/parity segments always carry a
     payload (the bytes on the wire). *)
 
-val decode_unchecked : string -> (Pdu.t, error) result
-(** Parse without checksum verification — what a no-detection
-    configuration does. *)
-
 (** {2 Wire-true zero-copy paths}
 
     The string codec above touches every byte twice (blit, then

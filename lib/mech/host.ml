@@ -5,7 +5,7 @@ type t = {
   per_packet : Time.t;
   per_byte_copy : Time.t;
   speed : float;
-  mutable copy_count : int;
+  copy_count : int;
   mutable busy : Time.t;
   mutable busy_expedited : Time.t;
   mutable accumulated : Time.t;
@@ -68,9 +68,6 @@ let process t ~bytes ?(extra = Time.zero) ?(expedited = false) () =
     finish
   end
 
-let copies t = t.copy_count
-let set_copies t n = t.copy_count <- max 0 n
-let stall t = t.stall_extra
 let set_stall t extra = t.stall_extra <- Time.max Time.zero extra
 let busy_until t = t.busy
 let total_busy t = t.accumulated

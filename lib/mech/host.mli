@@ -45,15 +45,6 @@ val process : t -> bytes:int -> ?extra:Time.t -> ?expedited:bool -> unit -> Time
     approximation: an expedited burst and a bulk burst may overlap
     rather than strictly share the CPU). *)
 
-val copies : t -> int
-(** Copies charged per packet traversal. *)
-
-val set_copies : t -> int -> unit
-(** Change the copy count (the e4 experiment's sweep knob). *)
-
-val stall : t -> Time.t
-(** Current per-packet stall surcharge (zero when healthy). *)
-
 val set_stall : t -> Time.t -> unit
 (** Add a fixed surcharge to every packet's CPU cost — the fault
     injector's host-stall (GC-pause analog).  Clamped to [>= 0]; set back

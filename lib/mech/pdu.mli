@@ -81,11 +81,6 @@ type t =
 val conn_id : t -> int
 (** Connection identifier of any PDU. *)
 
-val header_bytes : t -> int
-(** Size of the PDU's header on the wire.  Data/parity headers are compact
-    (the paper's "efficient control formats"); control PDUs include their
-    blobs. *)
-
 val payload_bytes : t -> int
 (** Declared payload size: the segment's bytes for data, the longest
     covered segment for parity, zero for control PDUs.  This is the

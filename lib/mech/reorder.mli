@@ -42,9 +42,6 @@ val sack_list : t -> int list
 val buffered_count : t -> int
 (** Segments held awaiting missing predecessors. *)
 
-val seen : t -> int -> bool
-(** Whether the sequence number has been received. *)
-
 val advance_past_gap : t -> int * Pdu.seg list
 (** Give up on the leading gap (configurations without retransmission):
     move the cumulative point to the first received sequence number above

@@ -129,16 +129,6 @@ let unsacked_missing t seqs =
       | Some _ | None -> None)
     (List.sort_uniq compare seqs)
 
-let oldest_unsacked t =
-  let rec scan seq =
-    if seq >= t.high then None
-    else
-      match get t seq with
-      | Some e when not e.sacked -> Some e
-      | Some _ | None -> scan (seq + 1)
-  in
-  scan t.low
-
 let iter t f =
   for seq = t.low to t.high - 1 do
     match get t seq with Some e -> f e | None -> ()

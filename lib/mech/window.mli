@@ -61,8 +61,5 @@ val unsacked_missing : t -> int list -> Pdu.seg list
 (** Outstanding, un-sacked segments among the given sequence numbers — the
     selective-repeat retransmission set. *)
 
-val oldest_unsacked : t -> entry option
-(** Outstanding, un-sacked entry with the smallest sequence number. *)
-
 val iter : t -> (entry -> unit) -> unit
 (** Iterate over outstanding entries in sequence order. *)

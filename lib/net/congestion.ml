@@ -8,21 +8,3 @@ let phases engine link steps =
       ignore
         (Engine.schedule engine ~at (fun () -> Link.set_background_utilization link u)))
     steps
-
-let random_walk engine rng link ~every ~step ~floor ~ceiling =
-  Engine.Timer.periodic engine ~interval:every (fun () ->
-      let delta = Rng.uniform rng (-.step) step in
-      let u = Link.background_utilization link +. delta in
-      Link.set_background_utilization link (Float.max floor (Float.min ceiling u)))
-
-let on_off engine rng link ~busy ~idle ~mean_busy ~mean_idle =
-  let rec go_busy () =
-    Link.set_background_utilization link busy;
-    let dwell = Time.sec (Rng.exponential rng ~mean:(Time.to_sec mean_busy)) in
-    ignore (Engine.schedule_after engine ~delay:(max 1 dwell) go_idle)
-  and go_idle () =
-    Link.set_background_utilization link idle;
-    let dwell = Time.sec (Rng.exponential rng ~mean:(Time.to_sec mean_idle)) in
-    ignore (Engine.schedule_after engine ~delay:(max 1 dwell) go_busy)
-  in
-  go_idle ()

@@ -3,8 +3,7 @@
     §2.1(B) requires adapting to "dynamically changing network conditions
     such as congestion".  These processes drive a link's background
     utilization over simulated time so transport configurations can be
-    exercised under static load, scheduled phase changes, random walks and
-    bursty on/off cross traffic. *)
+    exercised under static load and scheduled phase changes. *)
 
 open Adaptive_sim
 
@@ -14,28 +13,3 @@ val constant : Link.t -> float -> unit
 val phases : Engine.t -> Link.t -> (Time.t * float) list -> unit
 (** [phases e link steps] sets the utilization to each value at its
     absolute time.  Times must be in the engine's future. *)
-
-val random_walk :
-  Engine.t ->
-  Rng.t ->
-  Link.t ->
-  every:Time.t ->
-  step:float ->
-  floor:float ->
-  ceiling:float ->
-  Engine.Timer.timer
-(** Every [every], move utilization by a uniform step in
-    [\[-step, +step\]], clamped to [\[floor, ceiling\]].  Returns the
-    driving timer so callers can cancel the process. *)
-
-val on_off :
-  Engine.t ->
-  Rng.t ->
-  Link.t ->
-  busy:float ->
-  idle:float ->
-  mean_busy:Time.t ->
-  mean_idle:Time.t ->
-  unit
-(** Alternate between utilization [busy] and [idle] with exponentially
-    distributed dwell times — bursty cross traffic. *)

@@ -8,29 +8,9 @@ let ethernet () =
   Link.create ~name:"ethernet" ~bandwidth_bps:10e6 ~propagation:(Time.us 5)
     ~queue_pkts:50 ~ber:copper_ber ~mtu:1500 ()
 
-let token_ring_4 () =
-  Link.create ~name:"token-ring-4" ~bandwidth_bps:4e6 ~propagation:(Time.us 5)
-    ~queue_pkts:50 ~ber:copper_ber ~mtu:4472 ()
-
-let token_ring_16 () =
-  Link.create ~name:"token-ring-16" ~bandwidth_bps:16e6 ~propagation:(Time.us 5)
-    ~queue_pkts:50 ~ber:copper_ber ~mtu:4472 ()
-
 let fddi () =
   Link.create ~name:"fddi" ~bandwidth_bps:100e6 ~propagation:(Time.us 50)
     ~queue_pkts:80 ~ber:fiber_ber ~mtu:4500 ()
-
-let atm_155 () =
-  Link.create ~name:"atm-155" ~bandwidth_bps:155e6 ~propagation:(Time.us 10)
-    ~queue_pkts:128 ~ber:fiber_ber ~mtu:9180 ()
-
-let atm_622 () =
-  Link.create ~name:"atm-622" ~bandwidth_bps:622e6 ~propagation:(Time.us 10)
-    ~queue_pkts:256 ~ber:fiber_ber ~mtu:9180 ()
-
-let smds () =
-  Link.create ~name:"smds" ~bandwidth_bps:45e6 ~propagation:(Time.ms 2)
-    ~queue_pkts:100 ~ber:fiber_ber ~mtu:9188 ()
 
 let t1_internet () =
   Link.create ~name:"t1-internet" ~bandwidth_bps:1.5e6 ~propagation:(Time.ms 25)

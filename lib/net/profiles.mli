@@ -1,46 +1,18 @@
 (** Standard link and path profiles.
 
-    §2.1(B) enumerates the network diversity ADAPTIVE must span: 4/16 Mb/s
-    Token Ring, 10 Mb/s Ethernet, 100 Mb/s FDDI, 155/622 Mb/s ATM; copper
-    vs fiber bit-error rates (~1e-7 vs ~1e-9 here, per bit); MTUs from ATM
-    cells to FDDI frames; LAN/WAN diameters; and three interoperation
-    environments — low-latency LANs, the congestion-prone Internet, and
-    high-bandwidth high-latency B-ISDN WANs.  Each function returns a
-    {e fresh} link so concurrent scenarios never share queue state
-    accidentally. *)
+    §2.1(B) enumerates the network diversity ADAPTIVE must span: LANs
+    from Token Ring to FDDI, 155/622 Mb/s ATM, copper vs fiber bit-error
+    rates (~1e-7 vs ~1e-9 here, per bit), LAN/WAN diameters, and three
+    interoperation environments — low-latency LANs, the congestion-prone
+    Internet, and high-bandwidth high-latency B-ISDN WANs.  The paths
+    below cover those environments with Ethernet, FDDI, T1/T3, ATM-155
+    and satellite hops.  Each function returns {e fresh} links so
+    concurrent scenarios never share queue state accidentally. *)
 
 open Adaptive_sim
 
-val ethernet : unit -> Link.t
-(** 10 Mb/s, 1500-byte MTU, 5 us propagation, copper BER. *)
-
-val token_ring_4 : unit -> Link.t
-(** 4 Mb/s token ring, 4472-byte MTU. *)
-
-val token_ring_16 : unit -> Link.t
-(** 16 Mb/s token ring, 4472-byte MTU. *)
-
 val fddi : unit -> Link.t
 (** 100 Mb/s fiber ring, 4500-byte MTU. *)
-
-val atm_155 : unit -> Link.t
-(** 155 Mb/s ATM (AAL5), 9180-byte MTU, fiber BER. *)
-
-val atm_622 : unit -> Link.t
-(** 622 Mb/s ATM, 9180-byte MTU, fiber BER. *)
-
-val smds : unit -> Link.t
-(** 45 Mb/s SMDS service, 9188-byte MTU. *)
-
-val t1_internet : unit -> Link.t
-(** 1.5 Mb/s congestion-prone Internet hop: 25 ms propagation, small MTU,
-    shallow queue. *)
-
-val t3_wan : unit -> Link.t
-(** 45 Mb/s terrestrial WAN hop, 15 ms propagation. *)
-
-val satellite : unit -> Link.t
-(** 10 Mb/s geostationary hop: 280 ms one-way propagation. *)
 
 val custom :
   ?name:string ->

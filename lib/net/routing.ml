@@ -31,7 +31,7 @@ let install t ~src ~dst entry index =
 
 let set_candidates t ~src ~dst candidates =
   if candidates = [] || List.exists (fun p -> p = []) candidates then
-    invalid_arg "Routing.set_candidates: empty candidate list or path";
+    invalid_arg "Routing.set_symmetric_candidates: empty candidate list or path";
   let entry = { candidates; active = best_candidate candidates } in
   Hashtbl.replace t.table (src, dst) entry;
   install t ~src ~dst entry entry.active
@@ -40,9 +40,6 @@ let set_symmetric_candidates t ~a ~b candidates =
   set_candidates t ~src:a ~dst:b candidates;
   set_candidates t ~src:b ~dst:a
     (List.map (fun hops -> List.rev_map Topology.mirror_link hops) candidates)
-
-let active_index t ~src ~dst =
-  Option.map (fun e -> e.active) (Hashtbl.find_opt t.table (src, dst))
 
 let reevaluate t =
   Hashtbl.iter

@@ -19,29 +19,19 @@ type t
 val create : Engine.t -> Topology.t -> t
 (** Routing state for a topology. *)
 
-val set_candidates :
-  t -> src:Topology.addr -> dst:Topology.addr -> Link.t list list -> unit
-(** Register the ordered candidate paths for one direction (most
-    preferred first; must be non-empty, as must each path).  Immediately
-    installs the first live candidate (or the first candidate when none
-    is fully live). *)
-
 val set_symmetric_candidates :
   t -> a:Topology.addr -> b:Topology.addr -> Link.t list list -> unit
-(** Register the same candidates for both directions; reverse paths use
-    fresh full-duplex mirror links (see
-    {!Topology.set_symmetric_route}). *)
-
-val active_index : t -> src:Topology.addr -> dst:Topology.addr -> int option
-(** Which candidate is currently installed (0 = most preferred). *)
-
-val reevaluate : t -> unit
-(** Scan every registered pair once, installing the best live candidate
-    where it differs from the active one. *)
+(** Register the ordered candidate paths between [a] and [b] (most
+    preferred first; must be non-empty, as must each path) and install
+    the first live candidate in each direction (or the first candidate
+    when none is fully live).  Reverse paths use fresh full-duplex mirror
+    links (see {!Topology.set_symmetric_route}). *)
 
 val monitor : ?every:Time.t -> t -> Engine.Timer.timer
-(** Run {!reevaluate} periodically (default every 250 ms) — the routing
-    protocol's convergence loop.  Cancel the returned timer to stop. *)
+(** Every [every] (default 250 ms), scan each registered direction and
+    install its best live candidate where it differs from the active
+    one — the routing protocol's convergence loop.  Cancel the returned
+    timer to stop. *)
 
 val links : t -> Link.t list
 (** Every link appearing in any registered candidate path (deduplicated

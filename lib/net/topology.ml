@@ -1,5 +1,3 @@
-open Adaptive_sim
-
 type addr = int
 
 type t = {
@@ -15,13 +13,6 @@ let add_host t name =
   let addr = List.length t.names in
   t.names <- name :: t.names;
   addr
-
-let host_name t addr =
-  let n = List.length t.names in
-  if addr < 0 || addr >= n then raise Not_found;
-  List.nth t.names (n - 1 - addr)
-
-let hosts t = List.mapi (fun i name -> (i, name)) (List.rev t.names)
 
 let set_route t ~src ~dst hops =
   if hops = [] then invalid_arg "Topology.set_route: empty route";
@@ -55,14 +46,6 @@ let on_route t ~src ~dst f =
 let path_mtu t ~src ~dst =
   on_route t ~src ~dst (fun hops ->
       List.fold_left (fun acc l -> min acc (Link.mtu l)) max_int hops)
-
-let path_propagation t ~src ~dst =
-  on_route t ~src ~dst (fun hops ->
-      List.fold_left (fun acc l -> Time.add acc (Link.propagation l)) Time.zero hops)
-
-let bottleneck_bps t ~src ~dst =
-  on_route t ~src ~dst (fun hops ->
-      List.fold_left (fun acc l -> Float.min acc (Link.bandwidth_bps l)) infinity hops)
 
 let links t =
   let seen = ref [] in

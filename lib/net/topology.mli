@@ -6,8 +6,6 @@
     (e.g. §4.1.2's terrestrial-to-satellite failover) with
     {!set_route}. *)
 
-open Adaptive_sim
-
 type addr = int
 (** A host address. *)
 
@@ -19,12 +17,6 @@ val create : unit -> t
 
 val add_host : t -> string -> addr
 (** Register a host and return its address. *)
-
-val host_name : t -> addr -> string
-(** Name of a registered host.  Raises [Not_found] on unknown address. *)
-
-val hosts : t -> (addr * string) list
-(** All hosts in registration order. *)
 
 val set_route : t -> src:addr -> dst:addr -> Link.t list -> unit
 (** Install (or replace) the route from [src] to [dst].  The empty list is
@@ -51,12 +43,6 @@ val route : t -> src:addr -> dst:addr -> Link.t list option
 
 val path_mtu : t -> src:addr -> dst:addr -> int option
 (** Smallest hop MTU along the current route. *)
-
-val path_propagation : t -> src:addr -> dst:addr -> Time.t option
-(** Sum of hop propagation delays along the current route. *)
-
-val bottleneck_bps : t -> src:addr -> dst:addr -> float option
-(** Smallest hop bandwidth along the current route. *)
 
 val links : t -> Link.t list
 (** Every distinct link referenced by some route. *)

@@ -3,8 +3,8 @@
    Keys, tie-break sequence numbers and values live in three parallel
    arrays so that a push allocates no per-entry box and a pop on the
    internal path ([top_key]/[top_value]/[drop_top]) allocates nothing at
-   all.  The option-returning [peek]/[pop] remain as the convenient
-   front door. *)
+   all.  The option-returning [pop] remains as the convenient front
+   door. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -107,8 +107,6 @@ let drop_top h =
      payload (the root's value is live inside the heap anyway). *)
   if h.size > 0 then h.vals.(h.size) <- h.vals.(0)
 
-let peek h = if h.size = 0 then None else Some (h.keys.(0), h.vals.(0))
-
 let pop h =
   if h.size = 0 then None
   else begin
@@ -140,16 +138,3 @@ let filter_in_place h ~f =
   for i = (h.size / 2) - 1 downto 0 do
     sift_down h i
   done
-
-let clear h =
-  h.size <- 0;
-  h.keys <- [||];
-  h.seqs <- [||];
-  h.vals <- [||]
-
-let rec drain h ~f =
-  match pop h with
-  | None -> ()
-  | Some (k, v) ->
-    f k v;
-    drain h ~f

@@ -34,9 +34,6 @@ val push_seq : 'a t -> key:int -> seq:int -> 'a -> unit
     Mixing with {!push} is allowed but then tie-break order mixes the two
     numbering schemes. *)
 
-val peek : 'a t -> (int * 'a) option
-(** [peek h] is the minimum binding, without removing it. *)
-
 val pop : 'a t -> (int * 'a) option
 (** [pop h] removes and returns the minimum binding.  Among equal keys,
     the lowest-sequence binding is returned first. *)
@@ -62,9 +59,3 @@ val filter_in_place : 'a t -> f:(int -> int -> 'a -> bool) -> unit
     [f key seq value] is [false] and restores the heap invariant in
     O(n).  Used to compact lazily cancelled events out of the event
     queue. *)
-
-val clear : 'a t -> unit
-(** Remove every element. *)
-
-val drain : 'a t -> f:(int -> 'a -> unit) -> unit
-(** [drain h ~f] pops every element in priority order, applying [f]. *)

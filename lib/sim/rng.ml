@@ -143,10 +143,6 @@ let float t bound =
 
 let uniform t lo hi = lo +. float t (hi -. lo)
 
-let bool t =
-  step t;
-  t.r_lo land 1 = 1
-
 let bernoulli t p = float t 1.0 < p
 
 let exponential t ~mean =

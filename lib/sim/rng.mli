@@ -44,9 +44,6 @@ val float : t -> float -> float
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

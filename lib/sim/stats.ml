@@ -347,8 +347,3 @@ let add_summary b s =
     Buffer.add_string b summary_labels.(j);
     Buffer.add_string b text.(j)
   done
-
-let pp_summary fmt s =
-  let b = Buffer.create 96 in
-  add_summary b s;
-  Format.pp_print_string fmt (Buffer.contents b)

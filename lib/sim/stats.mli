@@ -38,17 +38,9 @@ val total : t -> float
 val mean : t -> float
 (** Arithmetic mean; [nan] when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [nan] with fewer than two observations. *)
-
 val stddev : t -> float
-(** Square root of {!variance}. *)
-
-val min_value : t -> float
-(** Smallest observation; [nan] when empty. *)
-
-val max_value : t -> float
-(** Largest observation; [nan] when empty. *)
+(** Sample standard deviation (Bessel-corrected); [nan] below two
+    observations. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] estimates the [q]-quantile ([0 <= q <= 1]) from the
@@ -89,6 +81,3 @@ val add_summary : Buffer.t -> summary -> unit
 (** Append the one-line rendering of a summary, without a newline:
     [n=%d] then [mean], [sd], [min], [p50], [p95], [p99] and [max], each
     as [%.4g]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Print the {!add_summary} line. *)

@@ -8,7 +8,6 @@ let sec s = int_of_float (Float.round (s *. 1e9))
 let minutes n = n * 60_000_000_000
 let to_sec t = float_of_int t /. 1e9
 let to_ms t = float_of_int t /. 1e6
-let to_us t = float_of_int t /. 1e3
 let add a b = a + b
 let diff a b = a - b
 let max (a : t) b = Stdlib.max a b
@@ -24,7 +23,7 @@ let of_rate ~bits ~bps =
 let pp fmt t =
   let a = abs t in
   if a < 1_000 then Format.fprintf fmt "%dns" t
-  else if a < 1_000_000 then Format.fprintf fmt "%.2fus" (to_us t)
+  else if a < 1_000_000 then Format.fprintf fmt "%.2fus" (float_of_int t /. 1e3)
   else if a < 1_000_000_000 then Format.fprintf fmt "%.2fms" (to_ms t)
   else Format.fprintf fmt "%.3fs" (to_sec t)
 

@@ -32,9 +32,6 @@ val to_sec : t -> float
 val to_ms : t -> float
 (** [to_ms t] is [t] expressed in milliseconds. *)
 
-val to_us : t -> float
-(** [to_us t] is [t] expressed in microseconds. *)
-
 val add : t -> t -> t
 (** Addition. *)
 

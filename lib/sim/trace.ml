@@ -53,12 +53,10 @@ let fold_int t n =
     fold_byte t ((n lsr (shift * 8)) land 0xff)
   done
 
-let count_by t name n =
+let count t name =
   match Hashtbl.find t.counters name with
-  | r -> r := !r + n
-  | exception Not_found -> Hashtbl.add t.counters name (ref n)
-
-let count t name = count_by t name 1
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add t.counters name (ref 1)
 
 let event t ~at ~category ~detail =
   count t category;
@@ -81,16 +79,8 @@ let counters t =
   Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let entries t = List.of_seq (Queue.to_seq t.log)
 let dropped t = t.dropped
 let hash t =
   Int64.logor
     (Int64.shift_left (Int64.of_int t.h_hi) 32)
     (Int64.of_int t.h_lo)
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Queue.clear t.log;
-  t.dropped <- 0;
-  t.h_hi <- fnv_offset_hi;
-  t.h_lo <- fnv_offset_lo

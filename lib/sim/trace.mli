@@ -8,18 +8,12 @@
 type t
 (** A trace sink. *)
 
-type entry = { at : Time.t; category : string; detail : string }
-(** One logged event. *)
-
 val create : ?log_capacity:int -> unit -> t
 (** [create ()] makes a sink.  [log_capacity] bounds the retained event log
     (default 4096; 0 disables logging while keeping counters). *)
 
 val count : t -> string -> unit
 (** Increment the named counter by one. *)
-
-val count_by : t -> string -> int -> unit
-(** Increment the named counter by [n]. *)
 
 val event : t -> at:Time.t -> category:string -> detail:string -> unit
 (** Increment the category counter and, if logging is enabled, append an
@@ -31,9 +25,6 @@ val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val entries : t -> entry list
-(** Retained log entries, oldest first. *)
-
 val dropped : t -> int
 (** Events discarded from the bounded log: oldest entries evicted once
     [log_capacity] was reached, plus every event when logging is disabled
@@ -43,6 +34,3 @@ val hash : t -> int64
 (** FNV-1a digest of every event recorded so far ([at], [category] and
     [detail], in arrival order) — including events the bounded log has
     since evicted.  Two runs are replay-equal iff their hashes match. *)
-
-val clear : t -> unit
-(** Reset counters, log, dropped count and hash. *)

@@ -10,8 +10,7 @@ open Parsetree
 let allowlist =
   [
     ("Link.counter", "Atomic; default link names need only be unique");
-    ("Msg.copies_counter", "Atomic; e12 and test_buf read the copy counters");
-    ("Msg.bytes_counter", "Atomic; e12 and test_buf read the copy counters");
+    ("Msg.copies_counter", "Atomic; e12 and test_buf read the copy counter");
   ]
 
 let constructors =

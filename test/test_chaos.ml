@@ -40,9 +40,9 @@ let test_schedule_properties () =
   done
 
 let test_schedule_of_seed_stable () =
-  let a = Soak.schedule_of_seed ~env:Soak.Campus ~seed:11 in
-  let b = Soak.schedule_of_seed ~env:Soak.Campus ~seed:11 in
-  let c = Soak.schedule_of_seed ~env:Soak.Internet ~seed:11 in
+  let schedule env = (Soak.run_one ~env ~seed:11 ()).Soak.o_schedule in
+  let a = schedule Soak.Campus and b = schedule Soak.Campus in
+  let c = schedule Soak.Internet in
   check_bool "same (seed, env) -> same schedule" true (a = b);
   check_bool "env perturbs the draw" true (a <> c)
 

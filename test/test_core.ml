@@ -21,7 +21,6 @@ let test_qos_levels_thresholds () =
 
 let test_qos_burst_ratio () =
   let q = { Qos.default with Qos.avg_bps = 1e6; peak_bps = 8e6 } in
-  Alcotest.(check (float 1e-9)) "ratio" 8.0 (Qos.burst_ratio q);
   check_bool "high burst" true ((Qos.levels q).Qos.burst_factor = Qos.High);
   let steady = { Qos.default with Qos.avg_bps = 1e6; peak_bps = 1e6 } in
   check_bool "low burst" true ((Qos.levels steady).Qos.burst_factor = Qos.Low)
@@ -65,7 +64,6 @@ let test_tsc_classify_quadrants () =
     (Tsc.classify (q ~iso:false ~inter:true ~rt:false) = Tsc.Non_realtime_non_isochronous)
 
 let test_tsc_names () =
-  check_int "four classes" 4 (List.length Tsc.all);
   check_str "name" "Interactive Isochronous" (Tsc.name Tsc.Interactive_isochronous)
 
 let test_tsc_policies () =
@@ -94,7 +92,10 @@ let prop_tsc_total =
       let q =
         { Qos.default with Qos.isochronous = iso; interactive = inter; realtime = rt }
       in
-      List.mem (Tsc.classify q) Tsc.all)
+      List.mem (Tsc.classify q)
+        Tsc.
+          [ Interactive_isochronous; Distributional_isochronous;
+            Realtime_non_isochronous; Non_realtime_non_isochronous ])
 
 (* ------------------------------------------------------------------ Scs *)
 
@@ -157,11 +158,8 @@ let test_acd_make () =
   check_bool "no explicit tsc" true (acd.Acd.explicit_tsc = None)
 
 let test_acd_strings () =
-  check_str "condition" "congestion > 0.60"
-    (Acd.condition_to_string (Acd.Congestion_above 0.6));
   check_str "action" "switch recovery to srepeat"
     (Acd.action_to_string (Acd.Switch_recovery Params.Selective_repeat));
-  check_str "rtt" "rtt > 150.00ms" (Acd.condition_to_string (Acd.Rtt_above (Time.ms 150)));
   check_str "scale" "scale rate by 0.75" (Acd.action_to_string (Acd.Scale_rate 0.75))
 
 let test_acd_table2 () =
@@ -195,9 +193,9 @@ let test_unites_whitebox_gating () =
   check_int "no samples recorded" 0 (Unites.whitebox_samples u);
   Unites.observe u ~session:1 Unites.Throughput 5.0;
   check_bool "blackbox kept" true (Unites.stats u ~session:1 Unites.Throughput <> None);
-  Unites.set_whitebox u true;
-  Unites.observe u ~session:1 Unites.Retransmissions 1.0;
-  check_int "sample counted" 1 (Unites.whitebox_samples u)
+  let on = Unites.create ~whitebox:true e in
+  Unites.observe on ~session:1 Unites.Retransmissions 1.0;
+  check_int "sample counted" 1 (Unites.whitebox_samples on)
 
 let test_unites_metric_kinds () =
   check_bool "throughput blackbox" true (Unites.metric_kind Unites.Throughput = Unites.Blackbox);
@@ -269,18 +267,20 @@ let test_unites_aggregate_total_no_merge () =
   Alcotest.(check int64) "no cells is +0" 0L
     (Int64.bits_of_float (Unites.aggregate_total u Unites.Rtt))
 
+let string_contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
+  n = 0 || scan 0
+
 let test_unites_first_name_wins () =
   let e = Engine.create () in
   let u = Unites.create e in
   Unites.register_session u ~id:9 ~name:"first";
   Unites.register_session u ~id:9 ~name:"second";
-  Alcotest.(check (list (pair int string))) "first name kept" [ (9, "first") ]
-    (Unites.sessions u)
-
-let string_contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
+  Unites.count u ~session:9 Unites.Segments_sent;
+  let report = Format.asprintf "%a" Unites.report u in
+  check_bool "first name kept" true (string_contains report "session 9 (first)");
+  check_bool "second name ignored" false (string_contains report "second")
 
 let test_unites_series () =
   let e = Engine.create () in
@@ -294,14 +294,14 @@ let test_unites_series () =
   Alcotest.(check (list (pair int (float 1e-9))))
     "bucketed totals"
     [ (0, 150.0); (Time.sec 2.0, 25.0) ]
-    (Unites.series u ~session:1 Unites.Bytes_delivered);
+    (Unites.aggregate_series u Unites.Bytes_delivered);
   (* Aggregate merges sessions. *)
   Unites.observe u ~session:2 Unites.Bytes_delivered 5.0;
   check_bool "aggregate series sums sessions" true
     (List.assoc (Time.sec 2.0) (Unites.aggregate_series u Unites.Bytes_delivered)
      = 25.0 +. 5.0);
   check_bool "no series for unseen metric" true
-    (Unites.series u ~session:1 Unites.Rtt = [])
+    (Unites.aggregate_series u Unites.Rtt = [])
 
 let test_unites_report_smoke () =
   let e = Engine.create () in

@@ -12,7 +12,6 @@ let check_bool = Alcotest.(check bool)
 
 let test_pool_basic () =
   Pool.with_pool ~jobs:3 (fun pool ->
-      check_int "jobs recorded" 3 (Pool.jobs pool);
       let futs = List.init 20 (fun i -> Pool.submit pool (fun () -> i * i)) in
       let got = List.map Pool.await futs in
       check_bool "all results in submit order" true
@@ -42,12 +41,17 @@ let test_pool_exception_propagation () =
       check_int "pool still serves" 7 (Pool.await (Pool.submit pool (fun () -> 7))))
 
 let test_pool_shutdown () =
-  let pool = Pool.create ~jobs:2 () in
-  let futs = List.init 8 (fun i -> Pool.submit pool (fun () -> i)) in
-  Pool.shutdown pool;
+  (* [with_pool] shuts the pool down as [f] returns, with the eight
+     futures still unawaited. *)
+  let escaped = ref None in
+  let futs =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        escaped := Some pool;
+        List.init 8 (fun i -> Pool.submit pool (fun () -> i)))
+  in
+  let pool = Option.get !escaped in
   check_bool "queued work drained before join" true
     (List.map Pool.await futs = List.init 8 Fun.id);
-  Pool.shutdown pool;  (* idempotent *)
   Alcotest.check_raises "submit after shutdown rejected"
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> 0)))
@@ -55,7 +59,7 @@ let test_pool_shutdown () =
 let test_pool_invalid_jobs () =
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Pool.create: jobs must be positive") (fun () ->
-      ignore (Pool.create ~jobs:0 ()))
+      Pool.with_pool ~jobs:0 ignore)
 
 (* -------------------------------------------------------------- map *)
 

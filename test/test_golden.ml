@@ -262,13 +262,16 @@ let unites_edge_output estimator =
       Unites.count unites ~session:9 Unites.Timeouts;
       obs 9 Unites.Acks_sent [ 3.0 ];
       Trace.count trace "a-trace-counter-name-longer-than-28";
-      Trace.count_by trace "short" 3);
+      for _ = 1 to 3 do
+        Trace.count trace "short"
+      done);
   Engine.run engine;
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
   Unites.report fmt unites;
-  Format.fprintf fmt "empty: %a@." Stats.pp_summary
-    (Stats.summarize (Stats.create ~estimator ()));
+  let empty = Buffer.create 96 in
+  Stats.add_summary empty (Stats.summarize (Stats.create ~estimator ()));
+  Format.fprintf fmt "empty: %s@." (Buffer.contents empty);
   Buffer.contents buf
 
 let test_unites_edge () =
@@ -517,6 +520,19 @@ let test_shape_gate () =
        "passes" "fails" "noisy timing")
     out
 
+(* A label passed as a [%s] argument is printed as is, so a header that
+   wants a percent sign must spell it [%], not the format escape [%%]. *)
+let test_percent_headers () =
+  let out = Bench_harness.Util.with_captured Bench_harness.Ablations.a2_fec_group in
+  let contains needle =
+    let n = String.length needle in
+    let rec scan i = i + n <= String.length out && (String.sub out i n = needle || scan (i + 1)) in
+    scan 0
+  in
+  Alcotest.(check bool) "no literal %% in the A2 table" false (contains "%%");
+  Alcotest.(check bool) "headers end in one %" true
+    (contains " delivered% " && contains " overhead%\n")
+
 let suite =
   [
     ( "golden",
@@ -531,5 +547,6 @@ let suite =
         Alcotest.test_case "steered swarm report is pinned" `Quick
           test_steer_swarm;
         Alcotest.test_case "shape checks count failures" `Quick test_shape_gate;
+        Alcotest.test_case "table headers print a single %" `Quick test_percent_headers;
       ] );
   ]

@@ -139,11 +139,9 @@ let test_window_sack_queries () =
     (List.map (fun s -> s.Pdu.seq) (Window.unsacked_from w 2));
   Alcotest.(check (list int)) "selective missing" [ 2 ]
     (List.map (fun s -> s.Pdu.seq) (Window.unsacked_missing w [ 1; 2; 3 ]));
-  check_bool "oldest unsacked" true
-    ((Option.get (Window.oldest_unsacked w)).Window.seg.Pdu.seq = 0);
   Window.mark_sacked w [ 0 ];
-  check_bool "oldest skips sacked" true
-    ((Option.get (Window.oldest_unsacked w)).Window.seg.Pdu.seq = 2)
+  Alcotest.(check (list int)) "gbn set skips a sacked head" [ 2; 4 ]
+    (List.map (fun s -> s.Pdu.seq) (Window.unsacked_from w 0))
 
 let test_window_touch () =
   let w = Window.create () in
@@ -484,9 +482,8 @@ let test_host_extra_and_copies () =
   let h = Host.create ~per_packet:Time.zero ~per_byte_copy:(Time.ns 10) ~copies:1 e in
   check_int "extra charged" (Time.us 20)
     (Host.process h ~bytes:1000 ~extra:(Time.us 10) ());
-  Host.set_copies h 3;
-  check_int "copies raised" 3 (Host.copies h);
-  check_int "triple copy cost" (Time.us 50) (Host.process h ~bytes:1000 ())
+  let h3 = Host.create ~per_packet:Time.zero ~per_byte_copy:(Time.ns 10) ~copies:3 e in
+  check_int "triple copy cost" (Time.us 30) (Host.process h3 ~bytes:1000 ())
 
 let test_host_zero_cost () =
   let e = Engine.create () in
@@ -558,10 +555,10 @@ let test_codec_roundtrip_samples () =
   List.iter
     (fun pdu ->
       let wire = Codec.encode pdu in
-      check_int (Pdu.describe pdu ^ " length") (Pdu.wire_bytes pdu) (String.length wire);
+      check_int "length" (Pdu.wire_bytes pdu) (String.length wire);
       match Codec.decode wire with
-      | Ok back -> check_bool (Pdu.describe pdu ^ " roundtrip") true (metadata_equal pdu back)
-      | Error e -> Alcotest.fail (Pdu.describe pdu ^ ": " ^ Codec.error_to_string e))
+      | Ok back -> check_bool "roundtrip" true (metadata_equal pdu back)
+      | Error e -> Alcotest.fail (Codec.error_to_string e))
     sample_pdus
 
 let test_codec_payload_roundtrip () =
@@ -588,18 +585,23 @@ let test_codec_detects_damage () =
   (match Codec.decode (Bytes.to_string wire) with
   | Error Codec.Bad_checksum -> ()
   | Ok _ -> Alcotest.fail "damage must be caught"
-  | Error e -> Alcotest.fail (Codec.error_to_string e));
-  (* The unchecked path parses it anyway — the no-detection behaviour. *)
-  match Codec.decode_unchecked (Bytes.to_string wire) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("unchecked: " ^ Codec.error_to_string e)
+  | Error e -> Alcotest.fail (Codec.error_to_string e))
+
+(* Give a hand-made image a valid checksum (the trailer for data and
+   parity tags, offset 2 otherwise), so [decode] reaches the parser. *)
+let sealed b =
+  let tag = Bytes.get_uint8 b 0 in
+  let off = if tag = 1 || tag = 2 then Bytes.length b - 2 else 2 in
+  Bytes.set_uint16_be b off 0;
+  Bytes.set_uint16_be b off (Adaptive_buf.Checksum.internet (Bytes.to_string b));
+  Bytes.to_string b
 
 let test_codec_rejects_garbage () =
   check_bool "short" true (Codec.decode "abc" = Error Codec.Truncated);
   let bogus = Bytes.make 16 '\000' in
   Bytes.set_uint8 bogus 0 99;
   check_bool "bad type" true
-    (match Codec.decode_unchecked (Bytes.to_string bogus) with
+    (match Codec.decode (sealed bogus) with
     | Error (Codec.Bad_type 99) -> true
     | _ -> false);
   (* A data header promising more payload than present. *)
@@ -608,7 +610,7 @@ let test_codec_rejects_garbage () =
   in
   let wire = Codec.encode pdu in
   check_bool "truncated payload" true
-    (Codec.decode_unchecked (String.sub wire 0 30) = Error Codec.Truncated)
+    (Codec.decode (sealed (Bytes.of_string (String.sub wire 0 30))) = Error Codec.Truncated)
 
 (* A data payload that disagrees with [seg_bytes] ([Pdu.seg] refuses to
    build one, the record does not): both encoders must treat it alike. *)
@@ -672,10 +674,13 @@ let prop_codec_roundtrip =
 
 let prop_codec_decode_never_raises =
   QCheck2.Test.make ~name:"decode of arbitrary bytes returns, never raises" ~count:500
-    QCheck2.Gen.(string_size (int_range 0 64))
-    (fun junk ->
+    QCheck2.Gen.(pair (string_size (int_range 0 64)) (int_range 0 4))
+    (fun (junk, off) ->
+      let len = String.length junk in
+      let padded = Bytes.make (off + len + 3) '\xEE' in
+      Bytes.blit_string junk 0 padded off len;
       (match Codec.decode junk with Ok _ | Error _ -> true)
-      && match Codec.decode_unchecked junk with Ok _ | Error _ -> true)
+      && match Codec.decode_view padded ~off ~len with Ok _ | Error _ -> true)
 
 let prop_codec_bitflip_detected =
   QCheck2.Test.make ~name:"any single bit flip in a data PDU is caught" ~count:300
@@ -763,6 +768,17 @@ let prop_encode_into_equals_encode =
 
 (* Error-for-error equivalence of the in-place and string decoders, over
    pristine, truncated, type-damaged and checksum-damaged images. *)
+(* Every payload a decoded PDU carries, in wire order. *)
+let rec payload_bytes pdu =
+  let seg (s : Pdu.seg) = Option.map Adaptive_buf.Msg.data_to_string s.Pdu.payload in
+  match pdu with
+  | Pdu.Data { seg = s; _ } -> Option.to_list (seg s)
+  | Pdu.Parity { covered; parity; _ } ->
+    List.filter_map seg covered
+    @ Option.to_list (Option.map Adaptive_buf.Msg.data_to_string parity)
+  | Pdu.Syn { first = Some inner; _ } -> payload_bytes inner
+  | _ -> []
+
 let mutate image mutation knob =
   match mutation with
   | 0 -> image
@@ -773,17 +789,27 @@ let mutate image mutation knob =
     Bytes.set b (bit / 8)
       (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
     Bytes.to_string b
-  | _ ->
+  | 3 ->
     let b = Bytes.of_string image in
     Bytes.set_uint8 b 0 (100 + (knob mod 100));
     Bytes.to_string b
+  | _ ->
+    (* A length field that lies: overwrite an aligned 32-bit word with a
+       huge, a sign-bit-adjacent or a just-too-large count, then re-seal
+       the checksum so both decoders parse the lie. *)
+    let b = Bytes.of_string image in
+    let words = Bytes.length b / 4 in
+    Bytes.set_int32_be b
+      (4 * (knob mod words))
+      (match knob / words mod 3 with 0 -> 0xFFFFFFFFl | 1 -> 0x7FFFFFFFl | _ -> 0x10000l);
+    sealed b
 
 let prop_decode_view_equals_decode =
   QCheck2.Test.make
     ~name:"decode_view = decode, value and error, on damaged images too"
     ~count:800
     QCheck2.Gen.(
-      pair gen_any_pdu (triple (int_range 0 3) (int_range 0 100_000) (int_range 0 9)))
+      pair gen_any_pdu (triple (int_range 0 4) (int_range 0 100_000) (int_range 0 9)))
     (fun (pdu, (mutation, knob, off)) ->
       let image = mutate (Codec.encode pdu) mutation knob in
       let len = String.length image in
@@ -791,9 +817,10 @@ let prop_decode_view_equals_decode =
       Bytes.blit_string image 0 padded off len;
       match (Codec.decode image, Codec.decode_view padded ~off ~len) with
       | Ok a, Ok b ->
-        (* Re-encoding both results must give identical bytes: metadata
-           and payload content agree. *)
-        metadata_equal a b && Codec.encode a = Codec.encode b
+        (* Metadata and payload content agree.  Not by re-encoding: a
+           re-sealed parity frame whose covered lengths lie about its
+           block decodes, but [Codec.encode] cannot size it. *)
+        metadata_equal a b && payload_bytes a = payload_bytes b
       | Error ea, Error eb -> ea = eb
       | Ok _, Error _ | Error _, Ok _ -> false)
 

@@ -327,8 +327,8 @@ let prop_p2_error_bound =
       close 0.5 && close 0.95 && close 0.99
       && Stats.count p2 = n
       && Float.abs (Stats.mean p2 -. (exact_sum /. float_of_int n)) <= 1e-6
-      && Stats.min_value p2 = sorted.(0)
-      && Stats.max_value p2 = sorted.(n - 1))
+      && (Stats.summarize p2).Stats.min = sorted.(0)
+      && (Stats.summarize p2).Stats.max = sorted.(n - 1))
 
 (* The first five observations are stored verbatim: quantiles are exact
    order statistics, not marker reads. *)
@@ -353,8 +353,8 @@ let test_p2_merge () =
   let m = Stats.merge a b in
   Alcotest.(check int) "count" 1000 (Stats.count m);
   Alcotest.(check (float 1e-6)) "mean" 500.5 (Stats.mean m);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value m);
-  Alcotest.(check (float 1e-9)) "max" 1000.0 (Stats.max_value m);
+  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.summarize m).Stats.min;
+  Alcotest.(check (float 1e-9)) "max" 1000.0 (Stats.summarize m).Stats.max;
   check_bool "merged estimator stays P2" true
     (Stats.estimator_kind m = Stats.P2);
   let p50 = Stats.quantile m 0.5 in

@@ -92,6 +92,24 @@ let prop_counters_agree_and_replay =
       && o1.Churn.steer_stats = o2.Churn.steer_stats
       && o1.Churn.digest = o2.Churn.digest)
 
+(* Thresholds no signal can reach: loss and utilization live in [0, 1],
+   so [infinity] bounds are never exceeded and negative bounds are never
+   undershot; [max_int] idleness outlives any horizon.  The debounce is
+   also unreachable — rules whose trigger is a structural condition
+   rather than a threshold (the backlog rule watches queue occupancy
+   against an infinite congestion bound) must be silenced too. *)
+let infinite =
+  {
+    Steer.loss_hi = infinity;
+    loss_lo = -1.0;
+    fec_loss_hi = infinity;
+    fec_group = 8;
+    cong_hi = infinity;
+    cong_lo = -1.0;
+    idle_after = max_int;
+    debounce = max_int;
+  }
+
 (* Property: a policy whose thresholds are all infinite can never fire,
    so the steered run is observationally identical — same trace digest,
    same delivered bytes — to the unsteered run under the same chaos. *)
@@ -107,7 +125,7 @@ let prop_infinite_policy_is_noop =
           (steer_config ?steer ~chaos:(schedule_of_seed seed)
              ~check_invariants:false ~sessions:40 ~seed ())
       in
-      let steered = run (Some Steer.infinite) and plain = run None in
+      let steered = run (Some infinite) and plain = run None in
       (match steered.Churn.steer_stats with
       | Some (0, _) -> true
       | Some _ | None -> false)

@@ -19,8 +19,15 @@ let lan_pair () =
   Adaptive.connect_hosts stack a b (Profiles.lan_path ());
   (stack, a, b)
 
+(* The configuration a baseline binds, read back from an open session. *)
+let baseline_session kind =
+  let stack, a, b = lan_pair () in
+  let disp = Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts a) in
+  Baselines.connect disp ~peers:[ b ] kind
+
 let test_baseline_scs_shapes () =
-  let tcp = Baselines.scs Baselines.Tcp_like in
+  let sessions = List.map baseline_session [ Baselines.Tcp_like; Baselines.Tp4_like; Baselines.Udp_like ] in
+  let tcp = Session.scs (List.nth sessions 0) in
   check_bool "tcp 3-way" true (tcp.Scs.connection = Params.Three_way);
   check_bool "tcp gbn" true (tcp.Scs.recovery = Params.Go_back_n);
   check_bool "tcp slow start" true
@@ -29,16 +36,16 @@ let test_baseline_scs_shapes () =
   | Params.Sliding_window { window } ->
     check_bool "tcp 64KiB-equivalent fixed window" true (window <= 45)
   | _ -> Alcotest.fail "tcp uses a window");
-  let tp4 = Baselines.scs Baselines.Tp4_like in
+  let tp4 = Session.scs (List.nth sessions 1) in
   check_bool "tp4 crc" true (tp4.Scs.detection = Params.Crc32);
   check_bool "tp4 reliable" true (Scs.reliable tp4);
-  let udp = Baselines.scs Baselines.Udp_like in
+  let udp = Session.scs (List.nth sessions 2) in
   check_bool "udp unreliable" false (Scs.reliable udp);
   check_bool "udp silent" true (udp.Scs.reporting = Params.No_report);
   check_bool "udp implicit" true (udp.Scs.connection = Params.Implicit);
   Alcotest.(check string) "names" "tcp,tp4,udp"
     (String.concat ","
-       (List.map Baselines.name [ Baselines.Tcp_like; Baselines.Tp4_like; Baselines.Udp_like ]))
+       (List.map Session.name sessions))
 
 let test_baseline_tcp_transfer () =
   let stack, a, b = lan_pair () in
@@ -74,7 +81,7 @@ let test_baseline_static_binding () =
   let stack, a, b = lan_pair () in
   let disp = Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts a) in
   let s = Baselines.connect disp ~peers:[ b ] Baselines.Tp4_like in
-  (match Session.reconfigure s { (Baselines.scs Baselines.Tp4_like) with Scs.recovery = Params.Selective_repeat } with
+  (match Session.reconfigure s { (Session.scs s) with Scs.recovery = Params.Selective_repeat } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "baselines must be statically bound");
   Session.close ~graceful:false s
