@@ -208,15 +208,29 @@ let is_whitebox =
   Array.of_list
     (List.map (fun m -> metric_kind m = Whitebox) all_metrics)
 
-(* Current-bucket accumulation cell.  The running sum lives in a
+(* Everything recorded for one (session, metric): the accumulator and
+   the current time bucket.  The bucket's running sum lives in a
    one-element float array (unboxed store); completed buckets spill into
    [spill] once, when simulated time crosses into the next bucket. *)
-type bcell = {
+type cell = {
+  stats : Stats.t;
   mutable bslot : int;
   bcur : float array;
   mutable spill : (int, float) Hashtbl.t option;
       (* lazily created: a cell only spills when the session records in
          more than one bucket, which short-lived sessions never do *)
+}
+
+(* One tracked (routed) session: its TMC whitebox mask (-1 when
+   unrestricted) and a row of the cells it has recorded, [len] (metric
+   index, cell) pairs in [mis] (one byte per index) and [row].  Every
+   cell is created through its session's row, so a metric missing from
+   the row has no cell. *)
+type track = {
+  mutable mask : int;
+  mutable mis : Bytes.t;
+  mutable row : cell array;
+  mutable len : int;
 }
 
 type t = {
@@ -225,10 +239,9 @@ type t = {
   bucket : Time.t;
   res_size : int; (* per-accumulator reservoir bound *)
   estimator : Stats.estimator; (* quantile sketch for every accumulator *)
-  table : (int, Stats.t) Hashtbl.t; (* packed (session, metric) key *)
-  buckets : (int, bcell) Hashtbl.t; (* packed (session, metric) key *)
+  cells : (int, cell) Hashtbl.t; (* packed (session, metric) key *)
   names : (int, string) Hashtbl.t;
-  tmc : (int, int) Hashtbl.t; (* per-session whitebox selection bitmask *)
+  tracks : (int, track) Hashtbl.t; (* routed session id *)
   mutable session_cap : int; (* individually tracked real sessions *)
   mutable tracked : int;
   routed : (int, unit) Hashtbl.t; (* real sessions admitted to tracking *)
@@ -243,6 +256,13 @@ type t = {
   mutable journal_mask : int;
   mutable journal : int array;
   mutable journal_len : int;
+  (* The last session observed, resolved once: its raw id, routed id and
+     track.  [cached = false] forces the next observation to resolve
+     afresh. *)
+  mutable cached : bool;
+  mutable c_raw : int;
+  mutable c_id : int;
+  mutable c_track : track;
 }
 
 (* Scheduler observations live under a reserved pseudo-session: real
@@ -279,10 +299,9 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     bucket = Time.max 1 bucket;
     res_size = max 8 reservoir;
     estimator;
-    table = Hashtbl.create 64;
-    buckets = Hashtbl.create 64;
+    cells = Hashtbl.create 64;
     names = Hashtbl.create 16;
-    tmc = Hashtbl.create 16;
+    tracks = Hashtbl.create 16;
     session_cap = max 1 session_cap;
     tracked = 0;
     routed = Hashtbl.create 16;
@@ -293,9 +312,15 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     journal_mask = 0;
     journal = [||];
     journal_len = 0;
+    cached = false;
+    c_raw = 0;
+    c_id = 0;
+    c_track = { mask = -1; mis = Bytes.empty; row = [||]; len = 0 };
   }
 
-let set_session_cap t n = t.session_cap <- max 1 n
+let set_session_cap t n =
+  t.session_cap <- max 1 n;
+  t.cached <- false
 
 (* Route a real session id to its tracking bucket.  The first
    [session_cap] distinct real sessions (in deterministic first-contact
@@ -326,41 +351,36 @@ let register_session t ~id ~name =
   if id <> overflow_session && not (Hashtbl.mem t.names id) then
     Hashtbl.add t.names id name
 
-let accumulator t k =
-  match Hashtbl.find t.table k with
-  | s -> s
-  | exception Not_found ->
-    let s = Stats.create ~estimator:t.estimator ~reservoir:t.res_size () in
-    Hashtbl.add t.table k s;
-    s
+let bucket_add c slot v =
+  if c.bslot = slot then c.bcur.(0) <- c.bcur.(0) +. v
+  else begin
+    (* Simulated time is monotone, so each bucket spills exactly once;
+       the defensive merge keeps re-entry harmless regardless. *)
+    let h =
+      match c.spill with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 4 in
+        c.spill <- Some h;
+        h
+    in
+    let prev =
+      match Hashtbl.find h c.bslot with
+      | p -> p
+      | exception Not_found -> 0.0
+    in
+    Hashtbl.replace h c.bslot (prev +. c.bcur.(0));
+    c.bslot <- slot;
+    c.bcur.(0) <- v
+  end
 
-let record_bucket t k v =
-  let slot = Engine.now t.engine / t.bucket in
-  match Hashtbl.find t.buckets k with
-  | c ->
-    if c.bslot = slot then c.bcur.(0) <- c.bcur.(0) +. v
-    else begin
-      (* Simulated time is monotone, so each bucket spills exactly once;
-         the defensive merge keeps re-entry harmless regardless. *)
-      let h =
-        match c.spill with
-        | Some h -> h
-        | None ->
-          let h = Hashtbl.create 4 in
-          c.spill <- Some h;
-          h
-      in
-      let prev =
-        match Hashtbl.find h c.bslot with
-        | p -> p
-        | exception Not_found -> 0.0
-      in
-      Hashtbl.replace h c.bslot (prev +. c.bcur.(0));
-      c.bslot <- slot;
-      c.bcur.(0) <- v
-    end
+let track t id =
+  match Hashtbl.find t.tracks id with
+  | tr -> tr
   | exception Not_found ->
-    Hashtbl.add t.buckets k { bslot = slot; bcur = [| v |]; spill = None }
+    let tr = { mask = -1; mis = Bytes.empty; row = [||]; len = 0 } in
+    Hashtbl.add t.tracks id tr;
+    tr
 
 let mask_of metrics =
   List.fold_left (fun acc m -> acc lor (1 lsl metric_index m)) 0 metrics
@@ -373,16 +393,12 @@ let restrict_session t ~id metrics =
     match mask_of metrics with
     | 0 -> ()
     | m ->
-      let cur = match Hashtbl.find t.tmc id with c -> c | exception Not_found -> 0 in
-      Hashtbl.replace t.tmc id (cur lor m)
+      let tr = track t id in
+      tr.mask <- (if tr.mask = -1 then 0 else tr.mask) lor m
   end
-  else if metrics = [] then Hashtbl.remove t.tmc id
-  else Hashtbl.replace t.tmc id (mask_of metrics)
-
-let wanted t session mi =
-  match Hashtbl.find t.tmc session with
-  | mask -> mask land (1 lsl mi) <> 0
-  | exception Not_found -> true
+  else if metrics = [] then
+    Option.iter (fun tr -> tr.mask <- -1) (Hashtbl.find_opt t.tracks id)
+  else (track t id).mask <- mask_of metrics
 
 let journal_push t k =
   if t.journal_len = Array.length t.journal then begin
@@ -393,35 +409,79 @@ let journal_push t k =
   Array.unsafe_set t.journal t.journal_len k;
   t.journal_len <- t.journal_len + 1
 
-(* The only place a total changes, so the journal sees every change. *)
-let record t session mi v =
-  let k = key session mi in
-  Stats.add (accumulator t k) v;
-  record_bucket t k v;
-  if t.journal_mask land (1 lsl mi) <> 0 then journal_push t k
+(* Make [session] the cached one.  A new session is always a cache miss,
+   so it is routed, and admitted under a cap, at its first observation:
+   admission stays in first-contact order. *)
+let resolve t session =
+  let id = route t session in
+  t.cached <- true;
+  t.c_raw <- session;
+  t.c_id <- id;
+  t.c_track <- track t id
+
+let row_push tr mi c =
+  if tr.len = Array.length tr.row then begin
+    let n = max 4 (2 * tr.len) in
+    let mis = Bytes.create n and row = Array.make n c in
+    Bytes.blit tr.mis 0 mis 0 tr.len;
+    Array.blit tr.row 0 row 0 tr.len;
+    tr.mis <- mis;
+    tr.row <- row
+  end;
+  Bytes.unsafe_set tr.mis tr.len (Char.unsafe_chr mi);
+  Array.unsafe_set tr.row tr.len c;
+  tr.len <- tr.len + 1
+
+(* The only place a total changes, so the journal sees every change.  A
+   cell is created, with its first sample, the first time its key is
+   recorded, and enters [cells] then: table order is first-record order. *)
+let record t mi v =
+  let tr = t.c_track in
+  let slot = Engine.now t.engine / t.bucket in
+  let i = ref 0 in
+  while !i < tr.len && Char.code (Bytes.unsafe_get tr.mis !i) <> mi do
+    incr i
+  done;
+  if !i < tr.len then begin
+    let c = Array.unsafe_get tr.row !i in
+    Stats.add c.stats v;
+    bucket_add c slot v
+  end
+  else begin
+    let stats = Stats.create ~estimator:t.estimator ~reservoir:t.res_size () in
+    Stats.add stats v;
+    let c = { stats; bslot = slot; bcur = [| v |]; spill = None } in
+    Hashtbl.add t.cells (key t.c_id mi) c;
+    row_push tr mi c
+  end;
+  if t.journal_mask land (1 lsl mi) <> 0 then journal_push t (key t.c_id mi)
 
 let observe t ~session m v =
   let mi = metric_index m in
   if Array.unsafe_get is_whitebox mi then begin
     if t.whitebox then begin
-      let session = route t session in
-      if wanted t session mi then begin
+      if not (t.cached && session = t.c_raw) then resolve t session;
+      if t.c_track.mask land (1 lsl mi) <> 0 then begin
         t.whitebox_count <- t.whitebox_count + 1;
-        record t session mi v
+        record t mi v
       end
     end
   end
-  else record t (route t session) mi v
+  else begin
+    if not (t.cached && session = t.c_raw) then resolve t session;
+    record t mi v
+  end
 
 let count t ~session m = observe t ~session m 1.0
 
 let stats t ~session m =
-  Option.map Stats.summarize
-    (Hashtbl.find_opt t.table (key session (metric_index m)))
+  Option.map
+    (fun c -> Stats.summarize c.stats)
+    (Hashtbl.find_opt t.cells (key session (metric_index m)))
 
 let total t ~session m =
-  match Hashtbl.find t.table (key session (metric_index m)) with
-  | s -> Stats.total s
+  match Hashtbl.find t.cells (key session (metric_index m)) with
+  | c -> Stats.total c.stats
   | exception Not_found -> 0.0
 
 let metric_of_index = Array.of_list all_metrics
@@ -434,7 +494,7 @@ let journal_start t metrics =
      them as a full walk would. *)
   Hashtbl.iter
     (fun k _ -> if mask land (1 lsl key_metric k) <> 0 then journal_push t k)
-    t.table
+    t.cells
 
 let journal_stop t =
   t.journal_mask <- 0;
@@ -447,7 +507,7 @@ let journal_drain t f =
     let k = Array.unsafe_get t.journal !i in
     f ~cell:k ~session:(k asr 6)
       (Array.unsafe_get metric_of_index (key_metric k))
-      (Stats.total (Hashtbl.find t.table k));
+      (Stats.total (Hashtbl.find t.cells k).stats);
     incr i
   done;
   t.journal_len <- 0
@@ -455,11 +515,11 @@ let journal_drain t f =
 let aggregate_acc t m =
   let mi = metric_index m in
   Hashtbl.fold
-    (fun k s acc ->
+    (fun k c acc ->
       if key_metric k = mi then
-        match acc with None -> Some s | Some a -> Some (Stats.merge a s)
+        match acc with None -> Some c.stats | Some a -> Some (Stats.merge a c.stats)
       else acc)
-    t.table None
+    t.cells None
 
 let aggregate t m = Option.map Stats.summarize (aggregate_acc t m)
 
@@ -470,12 +530,12 @@ let aggregate_total t m =
   let mi = metric_index m in
   let sum = ref 0.0 and seen = ref false in
   Hashtbl.iter
-    (fun k s ->
+    (fun k c ->
       if key_metric k = mi then begin
-        sum := if !seen then !sum +. Stats.total s else Stats.total s;
+        sum := if !seen then !sum +. Stats.total c.stats else Stats.total c.stats;
         seen := true
       end)
-    t.table;
+    t.cells;
   !sum
 
 let whitebox_samples t = t.whitebox_count
@@ -518,7 +578,7 @@ let aggregate_series t m =
   in
   Hashtbl.iter
     (fun k c -> if key_metric k = mi then cell_fold add () c)
-    t.buckets;
+    t.cells;
   Hashtbl.fold (fun slot v acc -> (slot * t.bucket, v) :: acc) merged []
   |> List.sort compare
 
@@ -549,7 +609,7 @@ let report fmt t =
   (* Named sessions in id order, and cell keys in (session, metric
      index) order: a session's lines are a run of [keys], so each
      rendered metric costs one lookup. *)
-  let ids = sorted_keys t.names and keys = sorted_keys t.table in
+  let ids = sorted_keys t.names and keys = sorted_keys t.cells in
   let cells = Array.length keys in
   (* One session's block at a time goes to [fmt], so the whole report is
      never held twice.  The block's last newline is a Format newline: it
@@ -581,7 +641,7 @@ let report fmt t =
       while !next < cells && keys.(!next) asr 6 = id do
         let k = keys.(!next) in
         Buffer.add_string b line_head.(key_metric k);
-        Stats.add_summary b (Stats.summarize (Hashtbl.find t.table k));
+        Stats.add_summary b (Stats.summarize (Hashtbl.find t.cells k).stats);
         Buffer.add_char b '\n';
         incr next
       done;

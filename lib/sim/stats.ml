@@ -4,92 +4,125 @@ type estimator = Reservoir | P2
    target quantile, updated in O(1) per observation with no stored
    samples.  The markers track the running estimate of the quantile and
    of four bracketing positions; heights move by parabolic (falling back
-   to linear) interpolation as desired marker positions drift. *)
-type p2m = {
-  pq : float;  (* target quantile *)
-  h : float array;  (* 5 marker heights *)
-  np : float array;  (* actual marker positions, 1-based *)
-  nd : float array;  (* desired marker positions *)
-  dn : float array;  (* desired-position increments *)
-}
+   to linear) interpolation as desired marker positions drift.
 
-let p2m_create q =
-  {
-    pq = q;
-    h = Array.make 5 0.0;
-    np = [| 1.0; 2.0; 3.0; 4.0; 5.0 |];
-    nd = [| 1.0; 1.0 +. (2.0 *. q); 1.0 +. (4.0 *. q); 3.0 +. (2.0 *. q); 5.0 |];
-    dn = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
-  }
-
-let p2m_init m sorted5 =
-  Array.blit sorted5 0 m.h 0 5;
-  m.np.(0) <- 1.0;
-  m.np.(1) <- 2.0;
-  m.np.(2) <- 3.0;
-  m.np.(3) <- 4.0;
-  m.np.(4) <- 5.0;
-  m.nd.(0) <- 1.0;
-  m.nd.(1) <- 1.0 +. (2.0 *. m.pq);
-  m.nd.(2) <- 1.0 +. (4.0 *. m.pq);
-  m.nd.(3) <- 3.0 +. (2.0 *. m.pq);
-  m.nd.(4) <- 5.0
-
-let p2m_add m x =
-  let k =
-    if x < m.h.(0) then begin
-      m.h.(0) <- x;
-      0
-    end
-    else if x >= m.h.(4) then begin
-      m.h.(4) <- x;
-      3
-    end
-    else begin
-      let k = ref 0 in
-      for i = 1 to 3 do
-        if x >= m.h.(i) then k := i
-      done;
-      !k
-    end
-  in
-  for i = k + 1 to 4 do
-    m.np.(i) <- m.np.(i) +. 1.0
-  done;
-  for i = 0 to 4 do
-    m.nd.(i) <- m.nd.(i) +. m.dn.(i)
-  done;
-  for i = 1 to 3 do
-    let d = m.nd.(i) -. m.np.(i) in
-    if
-      (d >= 1.0 && m.np.(i + 1) -. m.np.(i) > 1.0)
-      || (d <= -1.0 && m.np.(i - 1) -. m.np.(i) < -1.0)
-    then begin
-      let s = if d >= 0.0 then 1.0 else -1.0 in
-      let hi = m.h.(i) and hp = m.h.(i + 1) and hm = m.h.(i - 1) in
-      let ni = m.np.(i) and np1 = m.np.(i + 1) and nm1 = m.np.(i - 1) in
-      let parabolic =
-        hi
-        +. s /. (np1 -. nm1)
-           *. (((ni -. nm1 +. s) *. (hp -. hi) /. (np1 -. ni))
-              +. ((np1 -. ni -. s) *. (hi -. hm) /. (ni -. nm1)))
-      in
-      let next =
-        if hm < parabolic && parabolic < hp then parabolic
-        else if s > 0.0 then hi +. ((hp -. hi) /. (np1 -. ni))
-        else hi -. ((hm -. hi) /. (nm1 -. ni))
-      in
-      m.h.(i) <- next;
-      m.np.(i) <- ni +. s
-    end
-  done
-
-(* Marker targets: exactly the quantiles {!summary} reports. *)
+   Marker targets are exactly the quantiles {!summary} reports.  The
+   three structures share one flat block of 61 floats: marker [j]
+   (target [p2_targets.(j)]) owns [20j .. 20j+19], holding its heights
+   at [+0..4], actual positions (1-based) at [+5..9], desired positions
+   at [+10..14] and desired-position increments at [+15..19]; slot
+   [p2_run] is the deferral count described at {!store}.  Loops over
+   the markers stop at [Array.length mk / 20]: 3 for a block, 0 for the
+   empty array an accumulator holds before its fifth sample.  Index
+   arithmetic is written inline: a helper closure per field would cost
+   a call per access in builds without cross-module inlining. *)
 let p2_targets = [| 0.50; 0.95; 0.99 |]
 
+let p2_run = 60
+
+(* [x] has the bits of [c], which is finite and not [-0.0]. *)
+let continues_run c x =
+  x = c && c -. c = 0.0 && (c <> 0.0 || not (Float.sign_bit c || Float.sign_bit x))
+
+let p2_block sorted5 =
+  let mk = Array.make 61 0.0 in
+  for j = 0 to 2 do
+    let b = 20 * j and q = p2_targets.(j) in
+    Array.blit sorted5 0 mk b 5;
+    for i = 0 to 4 do
+      mk.(b + 5 + i) <- float_of_int (i + 1)
+    done;
+    mk.(b + 10) <- 1.0;
+    mk.(b + 11) <- 1.0 +. (2.0 *. q);
+    mk.(b + 12) <- 1.0 +. (4.0 *. q);
+    mk.(b + 13) <- 3.0 +. (2.0 *. q);
+    mk.(b + 14) <- 5.0;
+    mk.(b + 15) <- 0.0;
+    mk.(b + 16) <- q /. 2.0;
+    mk.(b + 17) <- q;
+    mk.(b + 18) <- (1.0 +. q) /. 2.0;
+    mk.(b + 19) <- 1.0
+  done;
+  let c = sorted5.(0) in
+  mk.(p2_run) <- (if Array.for_all (continues_run c) sorted5 then 0.0 else -1.0);
+  mk
+
+let p2_add mk x =
+  for j = 0 to (Array.length mk / 20) - 1 do
+    let b = 20 * j in
+    let k =
+      if x < Array.unsafe_get mk b then begin
+        Array.unsafe_set mk b x;
+        0
+      end
+      else if x >= Array.unsafe_get mk (b + 4) then begin
+        Array.unsafe_set mk (b + 4) x;
+        3
+      end
+      else begin
+        let k = ref 0 in
+        for i = 1 to 3 do
+          if x >= Array.unsafe_get mk (b + i) then k := i
+        done;
+        !k
+      end
+    in
+    for i = b + 6 + k to b + 9 do
+      Array.unsafe_set mk i (Array.unsafe_get mk i +. 1.0)
+    done;
+    for i = b + 10 to b + 14 do
+      Array.unsafe_set mk i (Array.unsafe_get mk i +. Array.unsafe_get mk (i + 5))
+    done;
+    for i = b + 1 to b + 3 do
+      (* [i] is the height slot; its position is at [i + 5], its desired
+         position at [i + 10]. *)
+      let ni = Array.unsafe_get mk (i + 5) in
+      let np1 = Array.unsafe_get mk (i + 6) and nm1 = Array.unsafe_get mk (i + 4) in
+      let d = Array.unsafe_get mk (i + 10) -. ni in
+      if (d >= 1.0 && np1 -. ni > 1.0) || (d <= -1.0 && nm1 -. ni < -1.0) then begin
+        let s = if d >= 0.0 then 1.0 else -1.0 in
+        let hi = Array.unsafe_get mk i
+        and hp = Array.unsafe_get mk (i + 1)
+        and hm = Array.unsafe_get mk (i - 1) in
+        let parabolic =
+          hi
+          +. s /. (np1 -. nm1)
+             *. (((ni -. nm1 +. s) *. (hp -. hi) /. (np1 -. ni))
+                +. ((np1 -. ni -. s) *. (hi -. hm) /. (ni -. nm1)))
+        in
+        let next =
+          if hm < parabolic && parabolic < hp then parabolic
+          else if s > 0.0 then hi +. ((hp -. hi) /. (np1 -. ni))
+          else hi -. ((hm -. hi) /. (nm1 -. ni))
+        in
+        Array.unsafe_set mk i next;
+        Array.unsafe_set mk (i + 5) (ni +. s)
+      end
+    done
+  done
+
+(* [c] is a parameter so that it is boxed once, not once per add. *)
+let p2_replay mk c n =
+  for _ = 1 to n do
+    p2_add mk c
+  done
+
+(* P² work on constant streams is deferred.  While every sample so far
+   has the bits of one finite value [c] other than [-0.0], every marker
+   height is [c], and adding [c] again leaves each height bit-identical:
+   the parabolic and linear steps compute [c +. 0.0] or [c -. 0.0], and
+   only the marker positions move.  So past the fifth sample such adds
+   are only counted, in [markers.(p2_run)]; the first differing sample
+   replays them, same operations in the same order, before its own
+   update.  Every read (quantiles, summaries, merges) looks at heights
+   and extrema only, so it is exact with adds still pending.  The count
+   is [-1.0] once the stream has two distinct values, or when [c] is NaN,
+   infinite ([inf -. inf] is NaN) or [-0.0] ([-0.0 +. 0.0] is [+0.0]).
+   It lives in the block rather than in a field so that accumulators
+   that never reach five samples do not pay for it. *)
 type store =
   | Res of { data : float array; mutable stored : int; rng : Rng.t }
-  | Stream of { head : float array; mutable markers : p2m array }
+  | Stream of { head : float array; mutable markers : float array }
 
 (* Scalar moments live in a float array rather than mutable record
    fields: a record mixing [n : int] with mutable floats keeps the
@@ -110,10 +143,10 @@ let create ?(estimator = Reservoir) ?(reservoir = 8192) ?(seed = 0x5747) () =
     | Reservoir ->
       Res { data = Array.make reservoir 0.0; stored = 0; rng = Rng.create seed }
     | P2 ->
-      (* Markers materialize lazily once five observations arrive: most
-         per-session accumulators in a churning swarm see a handful of
-         samples, and the three 5-marker structures are ~100 words that
-         would dominate short-lived sessions' allocation. *)
+      (* The marker block materializes lazily once five observations
+         arrive: most per-session accumulators in a churning swarm see a
+         handful of samples, and the 62-word block would dominate
+         short-lived sessions' allocation. *)
       Stream { head = Array.make 5 0.0; markers = [||] }
   in
   { n = 0; q = [| 0.0; 0.0; 0.0; infinity; neg_infinity |]; store }
@@ -149,17 +182,22 @@ let add t x =
       if t.n = 5 then begin
         let sorted = Array.copy s.head in
         Array.sort Float.compare sorted;
-        if s.markers = [||] then s.markers <- Array.map p2m_create p2_targets;
-        Array.iter (fun m -> p2m_init m sorted) s.markers
+        s.markers <- p2_block sorted
       end
     end
-    else
-      (* Explicit loop: [Array.iter] with a closure capturing [x] would
-         allocate on every single observation. *)
-      let ms = s.markers in
-      for i = 0 to Array.length ms - 1 do
-        p2m_add (Array.unsafe_get ms i) x
-      done
+    else begin
+      let mk = s.markers and c = s.head.(0) in
+      let run = mk.(p2_run) in
+      (* A run is live only for an eligible [c], so bit equality is the
+         whole test; it is spelt out here because a call would box [c]. *)
+      if run >= 0.0 && x = c && (c <> 0.0 || not (Float.sign_bit x)) then
+        mk.(p2_run) <- run +. 1.0
+      else begin
+        if run > 0.0 then p2_replay mk c (int_of_float run);
+        mk.(p2_run) <- -1.0;
+        p2_add mk x
+      end
+    end
 
 let count t = t.n
 let total t = t.q.(q_sum)
@@ -189,19 +227,19 @@ let sorted_prefix xs len =
    and (1, max).  Running max keeps the curve monotone even if marker
    heights cross on an adversarial stream.  The points are walked in
    place rather than collected as tuples. *)
-let p2_quantile t ms q =
+let p2_quantile t mk q =
   let mn = t.q.(q_mn) and mx = t.q.(q_mx) in
   let q = Float.max 0.0 (Float.min 1.0 q) in
-  let nm = Array.length ms in
+  let nm = Array.length mk / 20 in
   let x0 = ref 0.0 and y0 = ref mn and level = ref mn in
   let result = ref mx and i = ref 0 in
   while !i <= nm do
     let last = !i = nm in
-    let x1 = if last then 1.0 else (Array.unsafe_get ms !i).pq in
+    let x1 = if last then 1.0 else Array.unsafe_get p2_targets !i in
     let y1 =
       if last then mx
       else begin
-        level := Float.max !level (Float.min mx (Array.unsafe_get ms !i).h.(2));
+        level := Float.max !level (Float.min mx (Array.unsafe_get mk ((20 * !i) + 2)));
         !level
       end
     in
@@ -266,20 +304,6 @@ let merge a b =
   t.q.(q_mn) <- Float.min a.q.(q_mn) b.q.(q_mn);
   t.q.(q_mx) <- Float.max a.q.(q_mx) b.q.(q_mx);
   t
-
-let clear t =
-  t.n <- 0;
-  t.q.(q_mean) <- 0.0;
-  t.q.(q_m2) <- 0.0;
-  t.q.(q_sum) <- 0.0;
-  t.q.(q_mn) <- infinity;
-  t.q.(q_mx) <- neg_infinity;
-  match t.store with
-  | Res r -> r.stored <- 0
-  | Stream _ ->
-    (* The head buffer refills and the markers re-initialize once five
-       fresh observations arrive; [n] gates every read until then. *)
-    ()
 
 type summary = {
   n : int;

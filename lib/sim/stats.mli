@@ -58,9 +58,6 @@ val merge : t -> t -> t
     {!P2} quantiles are approximate: each side replays a bounded sketch
     of its distribution rather than its full stream. *)
 
-val clear : t -> unit
-(** Forget every observation. *)
-
 type summary = {
   n : int;
   mean : float;

@@ -63,7 +63,6 @@ let allowlist =
     ("Session.signal", [ "test/test_session.ml" ], deferred "session.signaling signal round trip");
     ("Slowstart.losses", [ "test/test_mech.ml" ], observer);
     ("Slowstart.threshold", [ "test/test_mech.ml" ], observer);
-    ("Stats.clear", [ "test/test_sim.ml" ], deferred "sim.stats clear");
     ("Stats.estimator_kind", [ "test/test_megaswarm.ml" ], observer);
     ( "Stats.quantile",
       [ "test/test_megaswarm.ml"; "test/test_sim.ml" ],

@@ -279,6 +279,90 @@ let test_unites_edge () =
     ("== p2 ==\n" ^ unites_edge_output Stats.P2 ^ "== reservoir ==\n"
     ^ unites_edge_output Stats.Reservoir)
 
+(* Session routing under a cap: a first contact through each entry point
+   that routes (observe, count, register_session, restrict_session),
+   sessions interleaved A, B, A, C, and the cap and a TMC changed while
+   the session they affect is the last one observed.  Raising the cap
+   admits the next new contact; a restriction drops the very next
+   whitebox observation outside it, and lifting it lets the next one in. *)
+let unites_routing_golden =
+  {golden|UNITES metric repository (t=0ns, whitebox=true)
+session -5 (overflow):
+  throughput_bps       [bb] n=3 mean=5.667 sd=2.517 min=3 p50=6 p95=7.8 p99=7.96 max=8
+  jitter_s             [wb] n=2 mean=2.5 sd=0.7071 min=2 p50=2.5 p95=2.95 p99=2.99 max=3
+session 0 (scheduler):
+  sched_cancelled_ratio [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+  sched_wheel_hit_rate [wb] n=1 mean=0 sd=nan min=0 p50=0 p95=0 p99=0 max=0
+session 11 (a-observe):
+  throughput_bps       [bb] n=2 mean=4 sd=4.243 min=1 p50=4 p95=6.7 p99=6.94 max=7
+  jitter_s             [wb] n=2 mean=0.625 sd=0.1768 min=0.5 p50=0.625 p95=0.7375 p99=0.7475 max=0.75
+  retransmissions      [wb] n=2 mean=1 sd=0 min=1 p50=1 p95=1 p99=1 max=1
+  timeouts             [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 12 (b-count):
+  jitter_s             [wb] n=1 mean=0.25 sd=nan min=0.25 p50=0.25 p95=0.25 p99=0.25 max=0.25
+  acks_sent            [wb] n=1 mean=1 sd=nan min=1 p50=1 p95=1 p99=1 max=1
+session 13 (c-register):
+  rtt_s                [bb] n=1 mean=0.125 sd=nan min=0.125 p50=0.125 p95=0.125 p99=0.125 max=0.125
+session 15 (e-readmitted):
+  throughput_bps       [bb] n=1 mean=4 sd=nan min=4 p50=4 p95=4 p99=4 max=4
+  jitter_s             [wb] n=1 mean=1.5 sd=nan min=1.5 p50=1.5 p95=1.5 p99=1.5 max=1.5
+session 16 (f-admitted):
+  throughput_bps       [bb] n=2 mean=7 sd=2.828 min=5 p50=7 p95=8.8 p99=8.96 max=9
+whitebox samples: 12
+|golden}
+
+let unites_routing_output () =
+  let engine = Engine.create () in
+  let u = Unites.create ~reservoir:64 ~estimator:Stats.P2 ~session_cap:3 engine in
+  let obs session m v = Unites.observe u ~session m v in
+  (* 11, 12 and 13 fill the cap; 14 is first seen by its restriction
+     and overflows. *)
+  obs 11 Unites.Throughput 1.0;
+  Unites.count u ~session:12 Unites.Acks_sent;
+  Unites.register_session u ~id:13 ~name:"c-register";
+  Unites.restrict_session u ~id:14 [ Unites.Jitter ];
+  Unites.register_session u ~id:11 ~name:"a-observe";
+  Unites.register_session u ~id:12 ~name:"b-count";
+  obs 11 Unites.Jitter 0.5;
+  obs 12 Unites.Jitter 0.25;
+  obs 11 Unites.Jitter 0.75;
+  obs 14 Unites.Jitter 2.0;
+  obs 14 Unites.Retransmissions 1.0;
+  obs 13 Unites.Rtt 0.125;
+  obs 15 Unites.Throughput 3.0;
+  (* 15 overflowed and is the last one observed: raising the cap admits
+     it at its next contact, ahead of 16; 17 overflows again. *)
+  Unites.set_session_cap u 5;
+  obs 15 Unites.Throughput 4.0;
+  obs 16 Unites.Throughput 5.0;
+  obs 17 Unites.Throughput 6.0;
+  obs 15 Unites.Jitter 1.5;
+  (* Restrict and release 11 while it is the last one observed. *)
+  obs 11 Unites.Retransmissions 1.0;
+  Unites.restrict_session u ~id:11 [ Unites.Timeouts ];
+  obs 11 Unites.Retransmissions 1.0;
+  obs 11 Unites.Timeouts 1.0;
+  obs 11 Unites.Throughput 7.0;
+  Unites.restrict_session u ~id:11 [];
+  obs 11 Unites.Retransmissions 1.0;
+  (* Lowering the cap keeps every admitted session tracked. *)
+  Unites.set_session_cap u 1;
+  obs 18 Unites.Throughput 8.0;
+  obs 16 Unites.Throughput 9.0;
+  obs 18 Unites.Jitter 3.0;
+  Unites.register_session u ~id:15 ~name:"e-readmitted";
+  Unites.register_session u ~id:16 ~name:"f-admitted";
+  Unites.register_session u ~id:18 ~name:"g-overflow";
+  let buf = Buffer.create 2048 in
+  let fmt = Format.formatter_of_buffer buf in
+  Unites.report fmt u;
+  Format.fprintf fmt "whitebox samples: %d@." (Unites.whitebox_samples u);
+  Buffer.contents buf
+
+let test_unites_routing () =
+  check_golden "UNITES routing and restriction" unites_routing_golden
+    (unites_routing_output ())
+
 (* One wire-true run pinned end to end: the churn outcome (with its wire
    report line) and the full UNITES repository, including the wire
    pseudo-session.  Any change to the wire path's accounting, the codec's
@@ -542,6 +626,8 @@ let suite =
         Alcotest.test_case "UNITES report is pinned" `Quick test_unites_report;
         Alcotest.test_case "UNITES report edge values are pinned" `Quick
           test_unites_edge;
+        Alcotest.test_case "UNITES session routing is pinned" `Quick
+          test_unites_routing;
         Alcotest.test_case "wire-true swarm report is pinned" `Quick
           test_wire_swarm;
         Alcotest.test_case "steered swarm report is pinned" `Quick

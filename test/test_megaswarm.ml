@@ -2,8 +2,9 @@
    multi-partition workload (the digest and every rendered UNITES report
    must not depend on how many domains execute it) across the admission,
    steering, chaos and wire knobs, rejection of configurations the
-   workload cannot run, and the P² streaming quantile estimator against
-   exact order statistics. *)
+   workload cannot run, the P² streaming quantile estimator against
+   exact order statistics and, bit for bit, against a per-sample
+   reference, and the allocation cost of UNITES observation. *)
 
 open Adaptive_sim
 open Adaptive_core
@@ -361,6 +362,286 @@ let test_p2_merge () =
   check_bool "merged median within the merged range" true
     (p50 >= 1.0 && p50 <= 1000.0 && Float.abs (p50 -. 500.5) <= 100.0)
 
+(* ------------------------------------------------------------------ *)
+(* P² bit-exactness against a reference copy of the estimator as it stood
+   before its markers moved into one flat block and constant runs were
+   deferred: one record of four 5-float arrays per target quantile,
+   every marker updated on every sample past the fifth. *)
+
+module Ref_p2 = struct
+  type m = { pq : float; h : float array; np : float array; nd : float array; dn : float array }
+
+  let create_m q =
+    {
+      pq = q;
+      h = Array.make 5 0.0;
+      np = [| 1.0; 2.0; 3.0; 4.0; 5.0 |];
+      nd = [| 1.0; 1.0 +. (2.0 *. q); 1.0 +. (4.0 *. q); 3.0 +. (2.0 *. q); 5.0 |];
+      dn = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
+    }
+
+  let add_m m x =
+    let k =
+      if x < m.h.(0) then begin
+        m.h.(0) <- x;
+        0
+      end
+      else if x >= m.h.(4) then begin
+        m.h.(4) <- x;
+        3
+      end
+      else begin
+        let k = ref 0 in
+        for i = 1 to 3 do
+          if x >= m.h.(i) then k := i
+        done;
+        !k
+      end
+    in
+    for i = k + 1 to 4 do
+      m.np.(i) <- m.np.(i) +. 1.0
+    done;
+    for i = 0 to 4 do
+      m.nd.(i) <- m.nd.(i) +. m.dn.(i)
+    done;
+    for i = 1 to 3 do
+      let d = m.nd.(i) -. m.np.(i) in
+      if
+        (d >= 1.0 && m.np.(i + 1) -. m.np.(i) > 1.0)
+        || (d <= -1.0 && m.np.(i - 1) -. m.np.(i) < -1.0)
+      then begin
+        let s = if d >= 0.0 then 1.0 else -1.0 in
+        let hi = m.h.(i) and hp = m.h.(i + 1) and hm = m.h.(i - 1) in
+        let ni = m.np.(i) and np1 = m.np.(i + 1) and nm1 = m.np.(i - 1) in
+        let parabolic =
+          hi
+          +. s /. (np1 -. nm1)
+             *. (((ni -. nm1 +. s) *. (hp -. hi) /. (np1 -. ni))
+                +. ((np1 -. ni -. s) *. (hi -. hm) /. (ni -. nm1)))
+        in
+        let next =
+          if hm < parabolic && parabolic < hp then parabolic
+          else if s > 0.0 then hi +. ((hp -. hi) /. (np1 -. ni))
+          else hi -. ((hm -. hi) /. (nm1 -. ni))
+        in
+        m.h.(i) <- next;
+        m.np.(i) <- ni +. s
+      end
+    done
+
+  (* n, then mean, m2, sum, min, max as [Stats] keeps them. *)
+  type t = { mutable n : int; q : float array; head : float array; mutable ms : m array }
+
+  let create () =
+    { n = 0; q = [| 0.0; 0.0; 0.0; infinity; neg_infinity |]; head = Array.make 5 0.0; ms = [||] }
+
+  let add t x =
+    t.n <- t.n + 1;
+    let q = t.q in
+    q.(2) <- q.(2) +. x;
+    let delta = x -. q.(0) in
+    q.(0) <- q.(0) +. (delta /. float_of_int t.n);
+    q.(1) <- q.(1) +. (delta *. (x -. q.(0)));
+    if x < q.(3) then q.(3) <- x;
+    if x > q.(4) then q.(4) <- x;
+    if t.n <= 5 then begin
+      t.head.(t.n - 1) <- x;
+      if t.n = 5 then begin
+        let sorted = Array.copy t.head in
+        Array.sort Float.compare sorted;
+        t.ms <- Array.map create_m [| 0.50; 0.95; 0.99 |];
+        Array.iter (fun m -> Array.blit sorted 0 m.h 0 5) t.ms
+      end
+    end
+    else Array.iter (fun m -> add_m m x) t.ms
+
+  let interp_sorted xs q =
+    let q = Float.max 0.0 (Float.min 1.0 q) in
+    let pos = q *. float_of_int (Array.length xs - 1) in
+    let lo = int_of_float (Float.floor pos) in
+    let hi = int_of_float (Float.ceil pos) in
+    if lo = hi then xs.(lo)
+    else
+      let w = pos -. float_of_int lo in
+      (xs.(lo) *. (1.0 -. w)) +. (xs.(hi) *. w)
+
+  let sorted_prefix xs len =
+    let s = Array.sub xs 0 len in
+    Array.sort Float.compare s;
+    s
+
+  let p2_quantile t q =
+    let mn = t.q.(3) and mx = t.q.(4) in
+    let q = Float.max 0.0 (Float.min 1.0 q) in
+    let nm = Array.length t.ms in
+    let x0 = ref 0.0 and y0 = ref mn and level = ref mn in
+    let result = ref mx and i = ref 0 in
+    while !i <= nm do
+      let last = !i = nm in
+      let x1 = if last then 1.0 else t.ms.(!i).pq in
+      let y1 =
+        if last then mx
+        else begin
+          level := Float.max !level (Float.min mx t.ms.(!i).h.(2));
+          !level
+        end
+      in
+      if q <= x1 then begin
+        result :=
+          (if x1 -. !x0 <= 0.0 then y1
+           else !y0 +. ((q -. !x0) /. (x1 -. !x0) *. (y1 -. !y0)));
+        i := nm + 1
+      end
+      else begin
+        x0 := x1;
+        y0 := y1;
+        incr i
+      end
+    done;
+    !result
+
+  let quantile t q =
+    if t.n = 0 then 0.0
+    else if t.n <= 5 then interp_sorted (sorted_prefix t.head t.n) q
+    else p2_quantile t q
+
+  let summarize t : Stats.summary =
+    if t.n = 0 then
+      { n = 0; mean = 0.0; stddev = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0; p99 = 0.0 }
+    else
+      let mean = t.q.(0) in
+      let stddev = sqrt (if t.n < 2 then nan else t.q.(1) /. float_of_int (t.n - 1)) in
+      let p50, p95, p99 =
+        if t.n = 1 then (t.head.(0), t.head.(0), t.head.(0))
+        else if t.n <= 5 then
+          let s = sorted_prefix t.head t.n in
+          (interp_sorted s 0.50, interp_sorted s 0.95, interp_sorted s 0.99)
+        else (p2_quantile t 0.50, p2_quantile t 0.95, p2_quantile t 0.99)
+      in
+      { n = t.n; mean; stddev; min = t.q.(3); max = t.q.(4); p50; p95; p99 }
+
+  let feed_into t src =
+    if src.n > 0 then
+      if src.n <= 5 then Array.iter (add t) (Array.sub src.head 0 src.n)
+      else begin
+        let k = min src.n 64 in
+        for j = 0 to k - 1 do
+          add t (quantile src ((float_of_int j +. 0.5) /. float_of_int k))
+        done
+      end
+
+  let merge a b =
+    let t = create () in
+    feed_into t a;
+    feed_into t b;
+    t.n <- a.n + b.n;
+    t.q.(2) <- a.q.(2) +. b.q.(2);
+    if t.n > 0 then begin
+      let na = float_of_int a.n and nb = float_of_int b.n in
+      let am = a.q.(0) and bm = b.q.(0) in
+      let delta = bm -. am in
+      t.q.(0) <- ((na *. am) +. (nb *. bm)) /. (na +. nb);
+      t.q.(1) <- a.q.(1) +. b.q.(1) +. (delta *. delta *. na *. nb /. (na +. nb))
+    end;
+    t.q.(3) <- Float.min a.q.(3) b.q.(3);
+    t.q.(4) <- Float.max a.q.(4) b.q.(4);
+    t
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_summary (a : Stats.summary) (b : Stats.summary) =
+  a.n = b.n
+  && List.for_all2 same_bits
+       [ a.mean; a.stddev; a.min; a.max; a.p50; a.p95; a.p99 ]
+       [ b.mean; b.stddev; b.min; b.max; b.p50; b.p95; b.p99 ]
+
+let probe_qs = [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 1.0 ]
+
+let same_as_ref s r =
+  same_summary (Stats.summarize s) (Ref_p2.summarize r)
+  && List.for_all (fun q -> same_bits (Stats.quantile s q) (Ref_p2.quantile r q)) probe_qs
+
+(* Streams of constant runs — lengths 1 to 5, 6 (the first marker step)
+   and 200 — that diverge into one another, over values that break
+   naive deferral: ±0, ±infinity, NaN and tiny ones.  After every run
+   and for the merge of the two halves, summaries and quantiles must
+   carry the reference's exact bits. *)
+let prop_p2_bit_exact =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; 1e-7; 1.0; -2.5 ];
+        float_range (-100.0) 100.0;
+      ]
+  in
+  let run = pair value (oneofl [ 1; 2; 3; 4; 5; 6; 200 ]) in
+  QCheck2.Test.make ~name:"P2 matches the per-sample reference bit for bit" ~count:300
+    ~print:(fun runs ->
+      String.concat "; " (List.map (fun (v, n) -> Printf.sprintf "%h x%d" v n) runs))
+    (list_size (int_range 1 8) run)
+    (fun runs ->
+      let feed s r (v, n) =
+        for _ = 1 to n do
+          Stats.add s v;
+          Ref_p2.add r v
+        done;
+        same_as_ref s r
+      in
+      let half = List.length runs / 2 in
+      let sa = Stats.create ~estimator:Stats.P2 () and ra = Ref_p2.create () in
+      let sb = Stats.create ~estimator:Stats.P2 () and rb = Ref_p2.create () in
+      List.for_all Fun.id
+        (List.mapi (fun i run -> if i < half then feed sa ra run else feed sb rb run) runs)
+      && same_as_ref (Stats.merge sa sb) (Ref_p2.merge ra rb)
+      && same_as_ref (Stats.merge sb sa) (Ref_p2.merge rb ra))
+
+(* ------------------------------------------------------------------ *)
+(* UNITES observation cost guard *)
+
+(* Minor words that 100k observations allocate once every cell exists:
+   64 sessions interleaved two observations at a time over six metrics,
+   with [count]'s constant 1.0 on one of them.  The samples are boxed
+   before measuring (a float array would box each one it hands out). *)
+let observe_words ?session_cap ?(restrict = false) () =
+  let engine = Engine.create () in
+  let u = Unites.create ~estimator:Stats.P2 ?session_cap engine in
+  if restrict then
+    for id = 1 to 64 do
+      if id mod 4 = 0 then Unites.restrict_session u ~id [ Unites.Jitter; Unites.Host_cpu ]
+    done;
+  let metrics =
+    [| Unites.Throughput; Unites.Jitter; Unites.Host_cpu; Unites.Demux_probes; Unites.Rtt |]
+  in
+  let values = Array.init 13 (fun i -> Some (0.25 *. float_of_int (i * i))) in
+  let pass () =
+    for i = 0 to 99_999 do
+      let session = 1 + (i / 2 mod 64) in
+      if i mod 6 = 5 then Unites.count u ~session Unites.Segments_sent
+      else
+        match values.(i mod 13) with
+        | Some v -> Unites.observe u ~session metrics.(i mod 6) v
+        | None -> ()
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  Gc.minor_words () -. before
+
+let test_observe_alloc () =
+  List.iter
+    (fun (case, words) ->
+      if words <> 0.0 then
+        Alcotest.failf "%s: 100k observations allocated %.0f minor words (expected 0)" case
+          words)
+    [
+      ("uncapped", observe_words ());
+      ("capped at 16", observe_words ~session_cap:16 ());
+      ("TMC-restricted", observe_words ~restrict:true ());
+    ]
+
 let suite =
   [
     ( "megaswarm.parity",
@@ -399,5 +680,11 @@ let suite =
             test_p2_small_n_exact;
           Alcotest.test_case "merge combines moments exactly" `Quick
             test_p2_merge;
-        ] );
+        ]
+      @ List.map QCheck_alcotest.to_alcotest [ prop_p2_bit_exact ] );
+    ( "unites.observe_alloc",
+      [
+        Alcotest.test_case "observation allocates nothing once cells exist"
+          `Quick test_observe_alloc;
+      ] );
   ]

@@ -283,12 +283,6 @@ let test_stats_merge () =
   check_float "merged min" ~eps:1e-9 1.0 (min_value m);
   check_float "merged max" ~eps:1e-9 20.0 (max_value m)
 
-let test_stats_clear () =
-  let s = Stats.create () in
-  Stats.add s 5.0;
-  Stats.clear s;
-  check_int "cleared count" 0 (Stats.count s)
-
 let test_stats_reservoir_bounded () =
   (* Millions of samples must not blow memory; quantiles stay sane. *)
   let s = Stats.create ~reservoir:512 () in
@@ -663,7 +657,6 @@ let suite =
         Alcotest.test_case "quantiles" `Quick test_stats_quantiles;
         Alcotest.test_case "merge" `Quick test_stats_merge;
         Alcotest.test_case "merge with empty" `Quick test_stats_merge_empty;
-        Alcotest.test_case "clear" `Quick test_stats_clear;
         Alcotest.test_case "bounded reservoir" `Quick test_stats_reservoir_bounded;
       ]
       @ qsuite [ prop_stats_mean_bounded; prop_stats_variance_nonneg ] );
