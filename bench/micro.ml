@@ -101,10 +101,11 @@ let bench_msg_fragment () =
 let bench_heap () =
   let h = Heap.create () in
   for i = 0 to 255 do
-    Heap.push h ~key:((i * 7919) land 1023) i
+    Heap.push h ~key:((i * 7919) land 1023) ~seq:i i
   done;
   while not (Heap.is_empty h) do
-    ignore (Heap.pop h)
+    ignore (Heap.top_value h);
+    Heap.drop_top h
   done
 
 let rng = Rng.create 99

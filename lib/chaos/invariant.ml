@@ -161,14 +161,6 @@ let attach_dispatcher t disp =
         scs.Scs.ordering = Params.Ordered
         && scs.Scs.duplicates = Params.Drop_duplicates
       in
-      (* A playout delivery constraint sanctions loss: segments past the
-         playout point are discarded late no matter what the recovery
-         machinery recovers, so such a stream is never gap-bound even
-         when its recovery scheme is nominally reliable (e.g. a steered
-         media session swapped to selective repeat). *)
-      let lossy_delivery =
-        match scs.Scs.delivery with Params.Playout _ -> true | _ -> false
-      in
       let label =
         match
           List.find_opt (fun (_, tracked) -> Session.id tracked = Session.id s)
@@ -179,7 +171,7 @@ let attach_dispatcher t disp =
       in
       let key = (Session.local_addr s * 1_000_000) + Session.id s in
       observe t ~label ~key ~ordered
-        ~reliable:(Scs.reliable scs && not lossy_delivery)
+        ~reliable:(not (Session.ever_loss_tolerant s))
         ~detected:(scs.Scs.detection <> Params.No_detection)
         ~at:d.Session.delivered_at ~seq:d.Session.seq ~damaged:d.Session.damaged;
       Option.iter

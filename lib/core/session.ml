@@ -98,6 +98,7 @@ and t = {
   mutable nack_timer : Engine.Timer.timer option;
   mutable last_latency : Time.t option;
   mutable echo_stamp : Time.t; (* newest data tx_stamp seen, echoed in acks *)
+  mutable ever_loss_tolerant : bool; (* see [loss_tolerant] *)
   mutable delivered_segments : int;
   mutable delivered_bytes : int;
   (* signaling *)
@@ -169,9 +170,21 @@ let now t = Engine.now (engine t)
 let unites t = t.disp.d_unites
 let smoothed_rtt t = Rtt.srtt t.ctx.Tko.rtt
 
+(* A configuration under which this endpoint may give a segment up for
+   good: one without retransmission, whose receiver skips gaps and whose
+   sender abandons unacknowledged data, or one with a playout delivery
+   constraint, which discards late segments whatever recovery
+   recovers. *)
+let loss_tolerant scs =
+  (not (Scs.reliable scs))
+  || match scs.Scs.delivery with Params.Playout _ -> true | _ -> false
+
+let ever_loss_tolerant t = t.ever_loss_tolerant
+
 (* Every reconfiguration funnels through here so the dispatcher's
    committed-buffer counter tracks [recv_buffer_segments] changes made
-   after setup (segue can renegotiate the receive commitment). *)
+   after setup (segue can renegotiate the receive commitment), and so
+   [ever_loss_tolerant] sees every configuration the endpoint runs. *)
 let segue_ctx t next =
   let before = (scs t).Scs.recv_buffer_segments in
   let r = Tko.segue t.ctx next in
@@ -180,6 +193,7 @@ let segue_ctx t next =
     t.disp.d_committed <-
       t.disp.d_committed + ((scs t).Scs.recv_buffer_segments - before)
   | Ok _ | Error _ -> ());
+  if Result.is_ok r && loss_tolerant (scs t) then t.ever_loss_tolerant <- true;
   r
 
 let loss_rate_estimate t =
@@ -977,6 +991,7 @@ and make_endpoint ~disp ~conn ~ep_name ~binding ~peers ~scs ~start_seq ~on_deliv
       nack_timer = None;
       last_latency = None;
       echo_stamp = Time.zero;
+      ever_loss_tolerant = loss_tolerant scs;
       delivered_segments = 0;
       delivered_bytes = 0;
       signal_queue = Queue.create ();

@@ -166,6 +166,14 @@ val state : t -> state
 val scs : t -> Scs.t
 (** Currently bound configuration. *)
 
+val ever_loss_tolerant : t -> bool
+(** [true] once this endpoint has bound a configuration under which it
+    may give a segment up for good: one without retransmission, or one
+    with a playout delivery constraint.  Every configuration counts, not
+    only those in force at a delivery: a receiver that skips a gap while
+    loss-tolerant may deliver past it after a segue back to a reliable
+    configuration. *)
+
 val context : t -> Tko.context
 (** The TKO context (mechanism bindings and shared state). *)
 

@@ -221,12 +221,14 @@ type cell = {
          more than one bucket, which short-lived sessions never do *)
 }
 
-(* One tracked (routed) session: its TMC whitebox mask (-1 when
-   unrestricted) and a row of the cells it has recorded, [len] (metric
-   index, cell) pairs in [mis] (one byte per index) and [row].  Every
-   cell is created through its session's row, so a metric missing from
-   the row has no cell. *)
+(* One tracked (routed) session: whether a session cap admitted it, its
+   TMC whitebox mask (-1 when unrestricted) and a row of the cells it
+   has recorded, [len] (metric index, cell) pairs in [mis] (one byte per
+   index) and [row].  Every cell is created through its session's row,
+   so a metric missing from the row has no cell.  A session observed
+   before any cap was set has a track but was never admitted. *)
 type track = {
+  mutable admitted : bool;
   mutable mask : int;
   mutable mis : Bytes.t;
   mutable row : cell array;
@@ -243,8 +245,7 @@ type t = {
   names : (int, string) Hashtbl.t;
   tracks : (int, track) Hashtbl.t; (* routed session id *)
   mutable session_cap : int; (* individually tracked real sessions *)
-  mutable tracked : int;
-  routed : (int, unit) Hashtbl.t; (* real sessions admitted to tracking *)
+  mutable tracked : int; (* real sessions admitted under the cap *)
   mutable whitebox_count : int;
   (* last scheduler counter values folded into the repository, so each
      [sample_scheduler] observes the delta since the previous sample *)
@@ -304,7 +305,6 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     tracks = Hashtbl.create 16;
     session_cap = max 1 session_cap;
     tracked = 0;
-    routed = Hashtbl.create 16;
     whitebox_count = 0;
     sched_fired_seen = 0;
     sched_rearmed_seen = 0;
@@ -315,24 +315,33 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     cached = false;
     c_raw = 0;
     c_id = 0;
-    c_track = { mask = -1; mis = Bytes.empty; row = [||]; len = 0 };
+    c_track = { admitted = false; mask = -1; mis = Bytes.empty; row = [||]; len = 0 };
   }
 
 let set_session_cap t n =
   t.session_cap <- max 1 n;
   t.cached <- false
 
-(* Route a real session id to its tracking bucket.  The first
+let track t id =
+  match Hashtbl.find t.tracks id with
+  | tr -> tr
+  | exception Not_found ->
+    let tr = { admitted = false; mask = -1; mis = Bytes.empty; row = [||]; len = 0 } in
+    Hashtbl.add t.tracks id tr;
+    tr
+
+(* Whether [session] is a real session routed under a cap. *)
+let capped t session = session > 0 && t.session_cap <> max_int
+
+(* Route a not yet admitted real session under a cap.  The first
    [session_cap] distinct real sessions (in deterministic first-contact
-   order) are tracked individually; later ones fold into
-   [overflow_session].  Only admitted sessions are stored, so the
-   routing table itself is bounded by the cap. *)
-let route t session =
-  if session <= 0 || t.session_cap = max_int then session
-  else if Hashtbl.mem t.routed session then session
-  else if t.tracked < t.session_cap then begin
+   order) are admitted and tracked individually; later ones fold into
+   [overflow_session].  Only admitted sessions get a track here, so the
+   track table stays bounded by the cap. *)
+let admit t session =
+  if t.tracked < t.session_cap then begin
     t.tracked <- t.tracked + 1;
-    Hashtbl.add t.routed session ();
+    (track t session).admitted <- true;
     session
   end
   else begin
@@ -340,6 +349,14 @@ let route t session =
       Hashtbl.replace t.names overflow_session "overflow";
     overflow_session
   end
+
+(* Route a session id to its tracking bucket. *)
+let route t session =
+  if not (capped t session) then session
+  else
+    match Hashtbl.find t.tracks session with
+    | tr when tr.admitted -> session
+    | _ | (exception Not_found) -> admit t session
 
 let whitebox_enabled t = t.whitebox
 let register_session t ~id ~name =
@@ -374,14 +391,6 @@ let bucket_add c slot v =
     c.bcur.(0) <- v
   end
 
-let track t id =
-  match Hashtbl.find t.tracks id with
-  | tr -> tr
-  | exception Not_found ->
-    let tr = { mask = -1; mis = Bytes.empty; row = [||]; len = 0 } in
-    Hashtbl.add t.tracks id tr;
-    tr
-
 let mask_of metrics =
   List.fold_left (fun acc m -> acc lor (1 lsl metric_index m)) 0 metrics
 
@@ -411,13 +420,19 @@ let journal_push t k =
 
 (* Make [session] the cached one.  A new session is always a cache miss,
    so it is routed, and admitted under a cap, at its first observation:
-   admission stays in first-contact order. *)
+   admission stays in first-contact order.  A session that already has
+   its own track and needs no admission costs one table lookup. *)
 let resolve t session =
-  let id = route t session in
   t.cached <- true;
   t.c_raw <- session;
-  t.c_id <- id;
-  t.c_track <- track t id
+  match Hashtbl.find t.tracks session with
+  | tr when tr.admitted || not (capped t session) ->
+    t.c_id <- session;
+    t.c_track <- tr
+  | _ | (exception Not_found) ->
+    let id = if capped t session then admit t session else session in
+    t.c_id <- id;
+    t.c_track <- track t id
 
 let row_push tr mi c =
   if tr.len = Array.length tr.row then begin

@@ -18,9 +18,9 @@
     The {!Timer} submodule is the analog of the paper's [TKO_Event] class:
     one-shot or periodic timers that can be scheduled, cancelled, and
     rescheduled ([TKO_Event::schedule] / [expire] / [cancel]).  A timer
-    owns one event record and one closure for its whole life, so
-    re-arming it — the hot operation of every retransmission and
-    acknowledgment path — allocates nothing. *)
+    owns one closure for its whole life and takes a recycled event slot
+    per expiry, so re-arming it — the hot operation of every
+    retransmission and acknowledgment path — allocates nothing. *)
 
 type t
 (** A simulation engine instance. *)
@@ -45,10 +45,10 @@ val schedule_after : t -> delay:Time.t -> (unit -> unit) -> handle
 
 val schedule_anon : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule_anon t ~at f] is {!schedule} without a handle: the event
-    cannot be cancelled or queried, and its record is recycled through an
-    internal free list after it fires.  Use on fire-and-forget hot paths
-    (per-PDU deliveries, ingress dispatch) where the event record and
-    handle pair of {!schedule} would otherwise be allocated per packet. *)
+    cannot be cancelled or queried, and nothing is allocated for it.  Use
+    on fire-and-forget hot paths (per-PDU deliveries, ingress dispatch)
+    where the handle of {!schedule} would otherwise be allocated per
+    packet. *)
 
 val cancel : handle -> unit
 (** Prevent the event from firing.  Cancelling a fired or already-cancelled
@@ -83,7 +83,7 @@ val events_fired : t -> int
     transport metrics so experiments can see scheduler overhead. *)
 type counters = {
   events_fired : int;  (** Events executed. *)
-  timers_rearmed : int;  (** {!Timer} re-arms that reused an event record. *)
+  timers_rearmed : int;  (** {!Timer} re-arms, each reusing the timer's closure. *)
   wheel_inserts : int;  (** Events enqueued into a wheel slot. *)
   ready_inserts : int;  (** Events enqueued straight into the ready heap. *)
   overflow_inserts : int;  (** Events beyond the wheel horizon. *)
@@ -92,6 +92,10 @@ type counters = {
   cascades : int;  (** Level-1 slot redistributions into level 0. *)
   compactions : int;  (** Eager sweeps of cancelled heap entries. *)
   dead_entries : int;  (** Cancelled entries currently awaiting sweep. *)
+  event_slots : int;
+      (** Capacity of the event slab: it grows only when more events are
+          pending at once than it holds, since fired and cancelled events
+          free their slots for reuse. *)
 }
 
 val counters : t -> counters
@@ -123,7 +127,8 @@ module Timer : sig
   val reschedule : timer -> delay:Time.t -> unit
   (** Cancel any pending expiry and arm the timer to fire once after
       [delay] (for periodic timers the period resumes afterwards).
-      Reuses the timer's event record and closure — no allocation. *)
+      Reuses the timer's closure and, while an expiry is pending, its
+      event slot — no allocation. *)
 
   val is_active : timer -> bool
   (** [true] while the timer still has a pending expiry. *)

@@ -6,28 +6,38 @@ type estimator = Reservoir | P2
    of four bracketing positions; heights move by parabolic (falling back
    to linear) interpolation as desired marker positions drift.
 
-   Marker targets are exactly the quantiles {!summary} reports.  The
-   three structures share one flat block of 61 floats: marker [j]
-   (target [p2_targets.(j)]) owns [20j .. 20j+19], holding its heights
-   at [+0..4], actual positions (1-based) at [+5..9], desired positions
-   at [+10..14] and desired-position increments at [+15..19]; slot
-   [p2_run] is the deferral count described at {!store}.  Loops over
-   the markers stop at [Array.length mk / 20]: 3 for a block, 0 for the
-   empty array an accumulator holds before its fifth sample.  Index
-   arithmetic is written inline: a helper closure per field would cost
-   a call per access in builds without cross-module inlining. *)
+   Marker targets are exactly the quantiles {!summary} reports.  A P²
+   accumulator keeps all its floats in the one array [t.q]: the moments
+   at [0..4] (see [q_mean]), the first five samples at [p2_head ..
+   p2_head+4], the deferral count described at {!add} at [p2_run], and,
+   from the fifth sample on, the three marker structures.  Marker [j]
+   (target [p2_targets.(j)]) owns [b .. b+19] with [b = p2_base + 20j],
+   holding its heights at [+0..4], actual positions (1-based) at
+   [+5..9], desired positions at [+10..14] and desired-position
+   increments at [+15..19].  The array starts at [p2_base] floats and
+   grows once, to [p2_size], at the fifth sample.  Index arithmetic is
+   written inline: a helper closure per field would cost a call per
+   access in builds without cross-module inlining. *)
 let p2_targets = [| 0.50; 0.95; 0.99 |]
 
-let p2_run = 60
+let p2_head = 5
+let p2_run = 10
+let p2_base = 11
+let p2_size = p2_base + 60
 
 (* [x] has the bits of [c], which is finite and not [-0.0]. *)
 let continues_run c x =
   x = c && c -. c = 0.0 && (c <> 0.0 || not (Float.sign_bit c || Float.sign_bit x))
 
-let p2_block sorted5 =
-  let mk = Array.make 61 0.0 in
+(* The full-size array for the fifth sample: [q] copied, and the markers
+   seeded from its five samples in ascending order. *)
+let p2_grow q =
+  let mk = Array.make p2_size 0.0 in
+  Array.blit q 0 mk 0 p2_base;
+  let sorted5 = Array.sub q p2_head 5 in
+  Array.sort Float.compare sorted5;
   for j = 0 to 2 do
-    let b = 20 * j and q = p2_targets.(j) in
+    let b = p2_base + (20 * j) and q = p2_targets.(j) in
     Array.blit sorted5 0 mk b 5;
     for i = 0 to 4 do
       mk.(b + 5 + i) <- float_of_int (i + 1)
@@ -48,8 +58,8 @@ let p2_block sorted5 =
   mk
 
 let p2_add mk x =
-  for j = 0 to (Array.length mk / 20) - 1 do
-    let b = 20 * j in
+  for j = 0 to 2 do
+    let b = p2_base + (20 * j) in
     let k =
       if x < Array.unsafe_get mk b then begin
         Array.unsafe_set mk b x;
@@ -112,24 +122,24 @@ let p2_replay mk c n =
    height is [c], and adding [c] again leaves each height bit-identical:
    the parabolic and linear steps compute [c +. 0.0] or [c -. 0.0], and
    only the marker positions move.  So past the fifth sample such adds
-   are only counted, in [markers.(p2_run)]; the first differing sample
-   replays them, same operations in the same order, before its own
-   update.  Every read (quantiles, summaries, merges) looks at heights
-   and extrema only, so it is exact with adds still pending.  The count
-   is [-1.0] once the stream has two distinct values, or when [c] is NaN,
+   are only counted, in [q.(p2_run)]; the first differing sample replays
+   them, same operations in the same order, before its own update.
+   Every read (quantiles, summaries, merges) looks at heights and
+   extrema only, so it is exact with adds still pending.  The count is
+   [-1.0] once the stream has two distinct values, or when [c] is NaN,
    infinite ([inf -. inf] is NaN) or [-0.0] ([-0.0 +. 0.0] is [+0.0]).
-   It lives in the block rather than in a field so that accumulators
-   that never reach five samples do not pay for it. *)
+
+   A reservoir keeps its sample outside [q]; a P² accumulator is the
+   record and its one float array.  Scalar moments live in a float
+   array rather than mutable record fields: a record mixing [n : int]
+   with mutable floats keeps the floats boxed, so every [add] would
+   allocate three fresh boxes on the minor heap.  Float-array stores
+   are unboxed and run no write barrier. *)
 type store =
   | Res of { data : float array; mutable stored : int; rng : Rng.t }
-  | Stream of { head : float array; mutable markers : float array }
+  | Stream
 
-(* Scalar moments live in a float array rather than mutable record
-   fields: a record mixing [n : int] with mutable floats keeps the
-   floats boxed, so every [add] would allocate three fresh boxes on the
-   minor heap.  Float-array stores are unboxed, making [add] for the
-   moment scalars allocation-free on the hot path. *)
-type t = { mutable n : int; q : float array; store : store }
+type t = { mutable n : int; mutable q : float array; store : store }
 
 let q_mean = 0
 and q_m2 = 1
@@ -138,23 +148,24 @@ and q_mn = 3
 and q_mx = 4
 
 let create ?(estimator = Reservoir) ?(reservoir = 8192) ?(seed = 0x5747) () =
-  let store =
-    match estimator with
-    | Reservoir ->
-      Res { data = Array.make reservoir 0.0; stored = 0; rng = Rng.create seed }
-    | P2 ->
-      (* The marker block materializes lazily once five observations
-         arrive: most per-session accumulators in a churning swarm see a
-         handful of samples, and the 62-word block would dominate
-         short-lived sessions' allocation. *)
-      Stream { head = Array.make 5 0.0; markers = [||] }
-  in
-  { n = 0; q = [| 0.0; 0.0; 0.0; infinity; neg_infinity |]; store }
+  match estimator with
+  | Reservoir ->
+    { n = 0; q = [| 0.0; 0.0; 0.0; infinity; neg_infinity |];
+      store = Res { data = Array.make reservoir 0.0; stored = 0; rng = Rng.create seed } }
+  | P2 ->
+    (* The markers materialize once five observations arrive: most
+       per-session accumulators in a churning swarm see a handful of
+       samples, and the 60 marker floats would dominate short-lived
+       sessions' allocation. *)
+    let q = Array.make p2_base 0.0 in
+    q.(q_mn) <- infinity;
+    q.(q_mx) <- neg_infinity;
+    { n = 0; q; store = Stream }
 
-let estimator_kind t = match t.store with Res _ -> Reservoir | Stream _ -> P2
+let estimator_kind t = match t.store with Res _ -> Reservoir | Stream -> P2
 
 let reservoir_capacity t =
-  match t.store with Res r -> Array.length r.data | Stream _ -> 8
+  match t.store with Res r -> Array.length r.data | Stream -> 8
 
 let add t x =
   t.n <- t.n + 1;
@@ -176,26 +187,22 @@ let add t x =
       (* Vitter's algorithm R keeps a uniform sample of the stream. *)
       let j = Rng.int r.rng t.n in
       if j < cap then r.data.(j) <- x
-  | Stream s ->
+  | Stream ->
     if t.n <= 5 then begin
-      s.head.(t.n - 1) <- x;
-      if t.n = 5 then begin
-        let sorted = Array.copy s.head in
-        Array.sort Float.compare sorted;
-        s.markers <- p2_block sorted
-      end
+      q.(p2_head + t.n - 1) <- x;
+      if t.n = 5 then t.q <- p2_grow q
     end
     else begin
-      let mk = s.markers and c = s.head.(0) in
-      let run = mk.(p2_run) in
+      let c = q.(p2_head) in
+      let run = q.(p2_run) in
       (* A run is live only for an eligible [c], so bit equality is the
          whole test; it is spelt out here because a call would box [c]. *)
       if run >= 0.0 && x = c && (c <> 0.0 || not (Float.sign_bit x)) then
-        mk.(p2_run) <- run +. 1.0
+        q.(p2_run) <- run +. 1.0
       else begin
-        if run > 0.0 then p2_replay mk c (int_of_float run);
-        mk.(p2_run) <- -1.0;
-        p2_add mk x
+        if run > 0.0 then p2_replay q c (int_of_float run);
+        q.(p2_run) <- -1.0;
+        p2_add q x
       end
     end
 
@@ -218,8 +225,8 @@ let interp_sorted xs q =
     let w = pos -. float_of_int lo in
     (xs.(lo) *. (1.0 -. w)) +. (xs.(hi) *. w)
 
-let sorted_prefix xs len =
-  let s = Array.sub xs 0 len in
+let sorted_sub xs off len =
+  let s = Array.sub xs off len in
   Array.sort Float.compare s;
   s
 
@@ -227,10 +234,11 @@ let sorted_prefix xs len =
    and (1, max).  Running max keeps the curve monotone even if marker
    heights cross on an adversarial stream.  The points are walked in
    place rather than collected as tuples. *)
-let p2_quantile t mk q =
-  let mn = t.q.(q_mn) and mx = t.q.(q_mx) in
+let p2_quantile t q =
+  let mk = t.q in
+  let mn = mk.(q_mn) and mx = mk.(q_mx) in
   let q = Float.max 0.0 (Float.min 1.0 q) in
-  let nm = Array.length mk / 20 in
+  let nm = Array.length p2_targets in
   let x0 = ref 0.0 and y0 = ref mn and level = ref mn in
   let result = ref mx and i = ref 0 in
   while !i <= nm do
@@ -239,7 +247,7 @@ let p2_quantile t mk q =
     let y1 =
       if last then mx
       else begin
-        level := Float.max !level (Float.min mx (Array.unsafe_get mk ((20 * !i) + 2)));
+        level := Float.max !level (Float.min mx (Array.unsafe_get mk (p2_base + (20 * !i) + 2)));
         !level
       end
     in
@@ -260,11 +268,11 @@ let p2_quantile t mk q =
 let quantile t q =
   match t.store with
   | Res r ->
-    if r.stored = 0 then 0.0 else interp_sorted (sorted_prefix r.data r.stored) q
-  | Stream s ->
+    if r.stored = 0 then 0.0 else interp_sorted (sorted_sub r.data 0 r.stored) q
+  | Stream ->
     if t.n = 0 then 0.0
-    else if t.n <= 5 then interp_sorted (sorted_prefix s.head t.n) q
-    else p2_quantile t s.markers q
+    else if t.n <= 5 then interp_sorted (sorted_sub t.q p2_head t.n) q
+    else p2_quantile t q
 
 (* Deterministically re-feed one accumulator's distribution sketch into
    another.  Reservoirs replay their stored sample; P² sketches replay a
@@ -274,9 +282,9 @@ let quantile t q =
 let feed_into t src =
   match src.store with
   | Res r -> Array.iter (add t) (Array.sub r.data 0 r.stored)
-  | Stream s ->
+  | Stream ->
     if src.n > 0 then
-      if src.n <= 5 then Array.iter (add t) (Array.sub s.head 0 src.n)
+      if src.n <= 5 then Array.iter (add t) (Array.sub src.q p2_head src.n)
       else begin
         let k = min src.n 64 in
         for j = 0 to k - 1 do
@@ -327,24 +335,23 @@ let summarize (t : t) =
       { n = t.n; mean = mean t; stddev = stddev t; min = min_value t;
         max = max_value t; p50; p95; p99 }
     in
-    let of_sample xs len =
+    let of_sample xs off len =
       if len = 0 then with_quantiles 0.0 0.0 0.0
       else if len = 1 then
         (* Not [min]: a lone NaN sample leaves [min] at infinity. *)
-        let x = xs.(0) in
+        let x = xs.(off) in
         with_quantiles x x x
       else
         (* One sort serves all three quantiles. *)
-        let s = sorted_prefix xs len in
+        let s = sorted_sub xs off len in
         with_quantiles (interp_sorted s 0.50) (interp_sorted s 0.95)
           (interp_sorted s 0.99)
     in
     match t.store with
-    | Res r -> of_sample r.data r.stored
-    | Stream s when t.n <= 5 -> of_sample s.head t.n
-    | Stream s ->
-      with_quantiles (p2_quantile t s.markers 0.50)
-        (p2_quantile t s.markers 0.95) (p2_quantile t s.markers 0.99)
+    | Res r -> of_sample r.data 0 r.stored
+    | Stream when t.n <= 5 -> of_sample t.q p2_head t.n
+    | Stream ->
+      with_quantiles (p2_quantile t 0.50) (p2_quantile t 0.95) (p2_quantile t 0.99)
 
 external format_float : string -> float -> string = "caml_format_float"
 

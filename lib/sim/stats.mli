@@ -11,9 +11,9 @@ type estimator =
           uniform sample of up to [reservoir] retained observations. *)
   | P2
       (** The P² streaming estimator (Jain & Chlamtac 1985): five markers
-          per reported quantile, O(1) update, ~15 floats of state however
-          long the stream — what megaswarm-scale UNITES repositories use
-          to keep per-bucket memory flat. *)
+          per reported quantile, O(1) update, one array of at most 71
+          floats however long the stream — what megaswarm-scale UNITES
+          repositories use to keep per-bucket memory flat. *)
 
 type t
 (** A mutable statistics accumulator. *)

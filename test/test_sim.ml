@@ -41,27 +41,37 @@ let test_time_pp () =
 
 (* ------------------------------------------------------------------ Heap *)
 
+(* Pop the minimum binding as [(key, value)], or [None] when empty. *)
+let pop h =
+  if Heap.is_empty h then None
+  else begin
+    let kv = (Heap.top_key h, Heap.top_value h) in
+    Heap.drop_top h;
+    Some kv
+  end
+
+(* Push in order, each entry's sequence number being its push index. *)
+let push_all h kvs = List.iteri (fun seq (key, v) -> Heap.push h ~key ~seq v) kvs
+
 let test_heap_basic () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  Heap.push h ~key:5 "five";
-  Heap.push h ~key:1 "one";
-  Heap.push h ~key:3 "three";
+  push_all h [ (5, 50); (1, 10); (3, 30) ];
   check_int "length" 3 (Heap.length h);
-  Alcotest.(check (option (pair int string))) "pop1" (Some (1, "one")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "pop2" (Some (3, "three")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "pop3" (Some (5, "five")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "pop empty" None (Heap.pop h)
+  Alcotest.(check (option (pair int int))) "pop1" (Some (1, 10)) (pop h);
+  Alcotest.(check (option (pair int int))) "pop2" (Some (3, 30)) (pop h);
+  Alcotest.(check (option (pair int int))) "pop3" (Some (5, 50)) (pop h);
+  Alcotest.(check (option (pair int int))) "pop empty" None (pop h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c"; "d" ];
-  let order = List.init 4 (fun _ -> snd (Option.get (Heap.pop h))) in
-  Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c"; "d" ] order
+  push_all h (List.map (fun v -> (7, v)) [ 11; 12; 13; 14 ]);
+  let order = List.init 4 (fun _ -> snd (Option.get (pop h))) in
+  Alcotest.(check (list int)) "FIFO among equal keys" [ 11; 12; 13; 14 ] order
 
 (* Pop every entry, smallest key first. *)
 let rec drain h ~f =
-  match Heap.pop h with
+  match pop h with
   | None -> ()
   | Some (k, v) ->
     f k v;
@@ -69,7 +79,7 @@ let rec drain h ~f =
 
 let test_heap_clear_drain () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 4; 2; 9; 1 ];
+  push_all h (List.map (fun k -> (k, k)) [ 4; 2; 9; 1 ]);
   let seen = ref [] in
   drain h ~f:(fun k _ -> seen := k :: !seen);
   Alcotest.(check (list int)) "drain sorted" [ 1; 2; 4; 9 ] (List.rev !seen);
@@ -80,9 +90,9 @@ let prop_heap_sorted =
     QCheck2.Gen.(list (int_bound 10_000))
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k k) keys;
+      push_all h (List.map (fun k -> (k, k)) keys);
       let rec collect acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> collect (k :: acc)
+        match pop h with None -> List.rev acc | Some (k, _) -> collect (k :: acc)
       in
       let popped = collect [] in
       popped = List.sort compare keys)
@@ -423,16 +433,16 @@ let test_timer_reschedule () =
 
 let test_heap_explicit_seq () =
   let h = Heap.create () in
-  Heap.push_seq h ~key:5 ~seq:10 "late";
-  Heap.push_seq h ~key:5 ~seq:2 "early";
-  Heap.push_seq h ~key:1 ~seq:99 "first";
+  Heap.push h ~key:5 ~seq:10 3;
+  Heap.push h ~key:5 ~seq:2 2;
+  Heap.push h ~key:1 ~seq:99 1;
   check_int "top key" 1 (Heap.top_key h);
   check_int "top seq" 99 (Heap.top_seq h);
-  Alcotest.(check string) "top value" "first" (Heap.top_value h);
+  check_int "top value" 1 (Heap.top_value h);
   Heap.drop_top h;
-  Alcotest.(check string) "seq breaks key tie" "early" (Heap.top_value h);
+  check_int "seq breaks key tie" 2 (Heap.top_value h);
   Heap.drop_top h;
-  Alcotest.(check string) "higher seq later" "late" (Heap.top_value h);
+  check_int "higher seq later" 3 (Heap.top_value h);
   Heap.drop_top h;
   Alcotest.check_raises "top_key empty" (Invalid_argument "Heap.top_key: empty heap")
     (fun () -> ignore (Heap.top_key h));
@@ -441,17 +451,17 @@ let test_heap_explicit_seq () =
 
 let test_heap_filter_in_place () =
   let h = Heap.create () in
-  for k = 19 downto 0 do
-    Heap.push h ~key:k (string_of_int k)
-  done;
+  push_all h (List.init 20 (fun i -> (19 - i, 100 + 19 - i)));
   Heap.filter_in_place h ~f:(fun key _seq _v -> key mod 2 = 0);
   check_int "kept half" 10 (Heap.length h);
   let out = ref [] in
-  drain h ~f:(fun k _v -> out := k :: !out);
+  drain h ~f:(fun k v ->
+      check_int "payload follows its key" (100 + k) v;
+      out := k :: !out);
   Alcotest.(check (list int)) "still a heap over survivors"
     [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
     (List.rev !out);
-  Heap.push h ~key:1 "x";
+  Heap.push h ~key:1 ~seq:0 0;
   Heap.filter_in_place h ~f:(fun _ _ _ -> false);
   check_bool "can drop everything" true (Heap.is_empty h)
 
@@ -476,10 +486,15 @@ let run_random_schedule backend seed =
     | 4 -> Time.sec (float_of_int (5 + Rng.int rng 5)) (* overflow *)
     | _ -> Time.ms 1 (* tie magnet *)
   in
+  (* Handles outlive their events: a late cancel or query of a fired or
+     cancelled handle names an event slot another event may hold by
+     then. *)
+  let handles = Array.make n None in
+  let note tag () = trace := (tag, Engine.now engine) :: !trace in
   for i = 0 to n - 1 do
     let expire () =
       trace := (i, Engine.now engine) :: !trace;
-      match Rng.int rng 4 with
+      match Rng.int rng 7 with
       | 0 -> (
         match timers.(i) with
         | Some t -> Engine.Timer.reschedule t ~delay:(delay ())
@@ -491,6 +506,19 @@ let run_random_schedule backend seed =
       | 2 -> (
         match timers.(Rng.int rng n) with
         | Some t -> Engine.Timer.reschedule t ~delay:(delay ())
+        | None -> ())
+      | 3 ->
+        Engine.schedule_anon engine
+          ~at:(Time.add (Engine.now engine) (delay ()))
+          (note (1000 + i))
+      | 4 ->
+        handles.(Rng.int rng n) <-
+          Some (Engine.schedule_after engine ~delay:(delay ()) (note (2000 + i)))
+      | 5 -> (
+        match handles.(Rng.int rng n) with
+        | Some h ->
+          note (if Engine.is_pending h then 3001 else 3000) ();
+          Engine.cancel h
         | None -> ())
       | _ -> ()
     in
@@ -559,6 +587,109 @@ let test_engine_counters () =
   check_int "reschedule counted as rearm" 1 c.Engine.timers_rearmed;
   Engine.run e;
   check_int "no dead entries left" 0 (Engine.counters e).Engine.dead_entries
+
+(* ------------------------------------------------- Engine slot reuse *)
+
+(* A freed event slot is reused last in, first out, so the event
+   scheduled right after a fire or cancel takes the slot the stale
+   handle or timer names. *)
+let test_engine_handle_reuse () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let bump () = incr fired in
+  let h = Engine.schedule e ~at:(Time.ms 1) bump in
+  Engine.run e;
+  let fresh = Engine.schedule e ~at:(Time.ms 2) bump in
+  check_bool "fired handle not pending" false (Engine.is_pending h);
+  Engine.cancel h;
+  check_bool "late cancel spares the slot's new event" true (Engine.is_pending fresh);
+  Engine.cancel fresh;
+  Engine.schedule_anon e ~at:(Time.ms 3) bump;
+  Engine.cancel fresh;
+  Engine.cancel h;
+  check_int "anon event in the reused slot still pending" 1 (Engine.pending_events e);
+  Engine.run e;
+  check_int "first and anon events fired" 2 !fired
+
+let test_timer_reuse () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let bump () = incr fired in
+  let t1 = Engine.Timer.one_shot e ~delay:(Time.ms 1) bump in
+  Engine.run e;
+  let h = Engine.schedule e ~at:(Time.ms 5) bump in
+  check_bool "expired timer inactive" false (Engine.Timer.is_active t1);
+  Engine.Timer.cancel t1;
+  check_bool "timer cancel spares the slot's new event" true (Engine.is_pending h);
+  Engine.cancel h;
+  let t2 = Engine.Timer.one_shot e ~delay:(Time.ms 2) bump in
+  check_bool "cancelled handle's slot held by a timer" true (Engine.Timer.is_active t2);
+  check_bool "old timer still inactive" false (Engine.Timer.is_active t1);
+  Engine.Timer.cancel t1;
+  Engine.cancel h;
+  check_bool "stale cancels spare the new timer" true (Engine.Timer.is_active t2);
+  Engine.Timer.reschedule t1 ~delay:(Time.ms 3);
+  check_bool "re-armed timer active" true (Engine.Timer.is_active t1);
+  check_bool "re-arm takes a fresh slot" true (Engine.Timer.is_active t2);
+  Engine.Timer.reschedule t2 ~delay:(Time.ms 2);
+  check_bool "re-armed pending timer still active" true (Engine.Timer.is_active t2);
+  Engine.run e;
+  check_int "both timers fired once more" 3 !fired;
+  check_bool "fired timer inactive" false (Engine.Timer.is_active t2);
+  check_int "expirations" 2 (Engine.Timer.expirations t1)
+
+(* 1M schedule/fire/cancel cycles over 64 handle slots spanning every
+   tier, lazily cancelled heap entries included: the slab stays at the
+   peak pending population, never growing with the number of events. *)
+let test_engine_slab_bounded () =
+  let e = Engine.create () in
+  let initial = (Engine.counters e).Engine.event_slots in
+  let rng = Rng.create 11 in
+  let slots = Array.make 64 None in
+  let nop () = () in
+  for i = 1 to 1_000_000 do
+    let k = Rng.int rng 64 in
+    Option.iter Engine.cancel slots.(k);
+    let delay =
+      match Rng.int rng 4 with
+      | 0 -> 0
+      | 1 -> Time.us (Rng.int rng 10_000)
+      | 2 -> Time.ms (Rng.int rng 2_000)
+      | _ -> Time.sec 6.0
+    in
+    slots.(k) <- Some (Engine.schedule_after e ~delay nop);
+    if i land 1 = 0 then ignore (Engine.step e)
+  done;
+  check_bool "at most 64 pending" true (Engine.pending_events e <= 64);
+  let grown = (Engine.counters e).Engine.event_slots in
+  if grown > initial + (4 * 64) then
+    Alcotest.failf "event slab grew from %d to %d slots" initial grown
+
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_engine_alloc_free () =
+  let e = Engine.create () in
+  let count = ref 0 in
+  let bump () = incr count in
+  let anon () =
+    for _ = 1 to 1_000_000 do
+      Engine.schedule_anon e ~at:(Time.add (Engine.now e) (Time.us 100)) bump;
+      ignore (Engine.step e)
+    done
+  in
+  Alcotest.(check (float 0.0)) "1M schedule_anon + fire" 0.0 (minor_words anon);
+  let timer = Engine.Timer.one_shot e ~delay:(Time.ms 1) bump in
+  let rearm () =
+    for i = 1 to 1_000_000 do
+      (* Wheel delays from one tick to past level 0. *)
+      Engine.Timer.reschedule timer ~delay:(Time.us (100 + (i land 32767)))
+    done
+  in
+  Alcotest.(check (float 0.0)) "1M Timer.reschedule" 0.0 (minor_words rearm)
 
 (* ----------------------------------------------------------------- Trace *)
 
@@ -677,6 +808,11 @@ let suite =
         Alcotest.test_case "tier ordering across horizons" `Quick
           test_engine_horizon_order;
         Alcotest.test_case "whitebox counters" `Quick test_engine_counters;
+        Alcotest.test_case "stale handle after slot reuse" `Quick test_engine_handle_reuse;
+        Alcotest.test_case "stale timer after slot reuse" `Quick test_timer_reuse;
+        Alcotest.test_case "event slab stays bounded" `Quick test_engine_slab_bounded;
+        Alcotest.test_case "anon events and re-arms allocate nothing" `Quick
+          test_engine_alloc_free;
       ]
       @ qsuite [ prop_engine_backend_equivalence ] );
     ( "sim.trace",

@@ -49,18 +49,31 @@ let schedule_of_seed seed =
    closer than [Mantts.reconfigure_cooldown] — records zero violations.
    This is the "no session gets two STEER swaps inside the cooldown"
    property, checked by the oracle that audits the real switch log. *)
+let steered_chaos_violations seed =
+  (Churn.run
+     (steer_config ~steer:Steer.default_policy ~chaos:(schedule_of_seed seed)
+        ~check_invariants:true ~sessions:40 ~seed ()))
+    .Churn.violations
+
 let prop_cooldown_respected =
   QCheck2.Test.make ~name:"random chaos: steered swaps respect the cooldown"
     ~count:8
     QCheck2.Gen.(int_range 1 10_000)
-    (fun seed ->
-      let o =
-        Churn.run
-          (steer_config ~steer:Steer.default_policy
-             ~chaos:(schedule_of_seed seed) ~check_invariants:true ~sessions:40
-             ~seed ())
-      in
-      o.Churn.violations = [])
+    (fun seed -> steered_chaos_violations seed = [])
+
+(* Seed 5882 once failed the property above.  Session 55's sender sent
+   seq 11 under a loss-tolerant STEER configuration and abandoned it; the
+   receiver learned of that configuration only 3 s later, through the
+   delayed reconfiguration signal, armed its skip timer while it ran it
+   for 8 ms, and skipped seq 11 after segueing back to a reliable one.
+   The oracle saw only the reliable configuration in force at each
+   delivery and flagged the skip as a delivery gap. *)
+let test_cooldown_seed_5882 () =
+  Alcotest.(check (list string))
+    "no violations" []
+    (List.map
+       (fun v -> Format.asprintf "%a" Invariant.pp_violation v)
+       (steered_chaos_violations 5882))
 
 (* Property: the outcome's swap counters agree with the UNITES steer
    pseudo-session's monotone counters, are non-negative, and replay
@@ -369,6 +382,10 @@ let suite =
           prop_cooldown_respected;
           prop_counters_agree_and_replay;
           prop_infinite_policy_is_noop;
+        ]
+      @ [
+          Alcotest.test_case "seed 5882: a skip after a loss-tolerant segue is no gap"
+            `Quick test_cooldown_seed_5882;
         ] );
     ( "steer.differential",
       [
