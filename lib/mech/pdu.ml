@@ -75,20 +75,3 @@ and payload_bytes = function
   | Signal _ | Signal_ack _ -> 0
 
 let wire_bytes p = header_bytes p + payload_bytes p
-
-let describe = function
-  | Data { seg; retransmit; _ } ->
-    Printf.sprintf "data#%d%s" seg.seq (if retransmit then "(rtx)" else "")
-  | Parity { group_start; group_len; _ } ->
-    Printf.sprintf "parity[%d..%d]" group_start (group_start + group_len - 1)
-  | Ack { cum; sack = []; _ } -> Printf.sprintf "ack<%d" cum
-  | Ack { cum; sack; _ } -> Printf.sprintf "ack<%d+%d" cum (List.length sack)
-  | Nack { missing; _ } -> Printf.sprintf "nack(%d)" (List.length missing)
-  | Syn { first = None; _ } -> "syn"
-  | Syn { first = Some _; _ } -> "syn+data"
-  | Syn_ack { accepted; _ } -> if accepted then "syn-ack" else "syn-rej"
-  | Ack_of_syn _ -> "ack-of-syn"
-  | Fin { graceful; _ } -> if graceful then "fin" else "abort"
-  | Fin_ack _ -> "fin-ack"
-  | Signal _ -> "signal"
-  | Signal_ack _ -> "signal-ack"

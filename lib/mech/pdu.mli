@@ -90,5 +90,3 @@ val payload_bytes : t -> int
 val wire_bytes : t -> int
 (** Total wire size: header plus payload. *)
 
-val describe : t -> string
-(** Short human-readable tag ("data#12", "ack<5", ...). *)

@@ -158,10 +158,3 @@ let stats t =
     corrupted = t.corrupted_count;
     bytes_carried = t.bytes_carried;
   }
-
-let reset_stats t =
-  t.accepted <- 0;
-  t.dropped_queue <- 0;
-  t.dropped_down <- 0;
-  t.corrupted_count <- 0;
-  t.bytes_carried <- 0

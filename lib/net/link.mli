@@ -118,9 +118,6 @@ type stats = {
 val stats : t -> stats
 (** Read the counters. *)
 
-val reset_stats : t -> unit
-(** Zero the counters (transmission state is preserved). *)
-
 val generation : t -> int
 (** Configuration generation of this link: bumped by every mutation of a
     parameter that feeds path characterization (BER, MTU, up/down, cross

@@ -124,7 +124,6 @@ let wire_stats t =
       })
     t.wire
 let attach t addr handler = Hashtbl.replace t.handlers addr handler
-let detach t addr = Hashtbl.remove t.handlers addr
 
 (* Remote delivery: a shard coordinator owns the path between this
    network and its peers, so packets to unrouted destinations are handed
@@ -326,17 +325,6 @@ let stats t =
     corrupted = t.s_corrupted;
     bytes_sent = t.s_bytes_sent;
   }
-
-let reset_stats t =
-  t.s_sent <- 0;
-  t.s_delivered <- 0;
-  t.s_dropped_queue <- 0;
-  t.s_dropped_down <- 0;
-  t.s_dropped_no_route <- 0;
-  t.s_dropped_mtu <- 0;
-  t.s_corrupted <- 0;
-  t.s_bytes_sent <- 0;
-  List.iter Link.reset_stats (Topology.links t.topology)
 
 type hop_state = {
   link_name : string;

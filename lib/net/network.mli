@@ -65,13 +65,10 @@ val attach : 'm t -> addr -> ('m recv -> unit) -> unit
 (** Register the receive handler for a host (replacing any previous
     one). *)
 
-val detach : 'm t -> addr -> unit
-(** Remove a host's handler; subsequent deliveries to it are dropped. *)
-
 val send : 'm t -> src:addr -> dst:addr -> bytes:int -> 'm -> unit
 (** Inject a [bytes]-byte packet now.  Delivery (or silent loss) follows
-    from the route's link models.  No route, an oversized packet, or a
-    detached destination count as drops. *)
+    from the route's link models.  No route or an oversized packet counts
+    as a drop; a packet to a host with no handler is discarded. *)
 
 val multicast : 'm t -> src:addr -> dsts:addr list -> bytes:int -> 'm -> unit
 (** Inject one packet toward every destination, paying each shared link
@@ -98,7 +95,7 @@ val deliver_remote :
 (** Deliver a packet that crossed a remote path: invokes [dst]'s handler
     immediately, at the engine's current time (the caller schedules this
     at the modeled arrival time).  Unknown destinations are dropped
-    silently, mirroring a detached local host. *)
+    silently, like a local host with no handler. *)
 
 type stats = {
   sent : int;  (** Packets injected (multicast counts once). *)
@@ -114,9 +111,6 @@ type stats = {
 
 val stats : 'm t -> stats
 (** Read the counters. *)
-
-val reset_stats : 'm t -> unit
-(** Zero the network counters and every link's counters. *)
 
 type hop_state = {
   link_name : string;

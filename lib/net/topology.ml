@@ -46,13 +46,3 @@ let on_route t ~src ~dst f =
 let path_mtu t ~src ~dst =
   on_route t ~src ~dst (fun hops ->
       List.fold_left (fun acc l -> min acc (Link.mtu l)) max_int hops)
-
-let links t =
-  let seen = ref [] in
-  Hashtbl.iter
-    (fun _ hops ->
-      List.iter
-        (fun l -> if not (List.memq l !seen) then seen := l :: !seen)
-        hops)
-    t.routes;
-  List.rev !seen

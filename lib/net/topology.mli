@@ -44,9 +44,6 @@ val route : t -> src:addr -> dst:addr -> Link.t list option
 val path_mtu : t -> src:addr -> dst:addr -> int option
 (** Smallest hop MTU along the current route. *)
 
-val links : t -> Link.t list
-(** Every distinct link referenced by some route. *)
-
 val mirror_link : Link.t -> Link.t
 (** A fresh link with the same parameters (the reverse half of a
     full-duplex hop). *)
