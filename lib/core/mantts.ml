@@ -312,7 +312,6 @@ let add_host ?host ?(buffer_segments = 4096) t ~addr =
           scs = final;
           name = Printf.sprintf "accept-%d" conn;
           on_deliver = Some (fun session d -> entity.e_app session d);
-          on_signal = None;
         });
   Session.Dispatcher.set_on_close disp (fun session -> retire_monitor t session);
   Hashtbl.replace t.entities addr entity;
@@ -836,12 +835,9 @@ let monitor_tick t mon on_notify () =
 let rec arm_monitor_timer t =
   if not t.monitor_armed then begin
     t.monitor_armed <- true;
-    let delay = monitor_interval in
-    match t.monitor_timer with
-    | Some timer -> Engine.Timer.reschedule timer ~delay
-    | None ->
-      t.monitor_timer <-
-        Some (Engine.Timer.one_shot t.t_engine ~delay (fun () -> shared_monitor_tick t))
+    t.monitor_timer <-
+      Engine.Timer.restart t.t_engine t.monitor_timer ~delay:monitor_interval
+        shared_monitor_tick t
   end
 
 and shared_monitor_tick t =

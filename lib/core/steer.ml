@@ -420,11 +420,7 @@ let steer_one t cache ~now watch =
 let rec arm t =
   if not t.armed then begin
     t.armed <- true;
-    let delay = Mantts.monitor_interval in
-    match t.timer with
-    | Some timer -> Engine.Timer.reschedule timer ~delay
-    | None ->
-      t.timer <- Some (Engine.Timer.one_shot t.engine ~delay (fun () -> tick t))
+    t.timer <- Engine.Timer.restart t.engine t.timer ~delay:Mantts.monitor_interval tick t
   end
 
 and tick t =

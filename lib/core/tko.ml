@@ -18,6 +18,7 @@ type context = {
   mutable cc : Slowstart.t option;
   mutable playout : Playout.t option;
   mutable segue_count : int;
+  connection : Connection.t;
 }
 
 let instantiate_rate (scs : Scs.t) =
@@ -55,6 +56,7 @@ let synthesize ?(binding = Synthesized) (scs : Scs.t) =
     cc = instantiate_cc scs;
     playout = instantiate_playout scs;
     segue_count = 0;
+    connection = Connection.create scs.Scs.connection;
   }
 
 (* FEC reconstruction state materializes on first use: the receiver
@@ -123,6 +125,7 @@ let segue ctx (next : Scs.t) =
         catch_up 0;
         ctx.reorder <- fresh
       end;
+      Connection.rebind ctx.connection next.Scs.connection;
       ctx.scs <- next;
       ctx.segue_count <- ctx.segue_count + 1;
       Ok changed

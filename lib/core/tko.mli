@@ -39,6 +39,9 @@ type context = {
   mutable cc : Slowstart.t option;  (** Congestion window when bound. *)
   mutable playout : Playout.t option;  (** Playout buffer when bound. *)
   mutable segue_count : int;  (** Number of live swaps applied. *)
+  connection : Connection.t;
+      (** Handshake and release state under the bound connection
+          scheme (survives segue). *)
 }
 
 val synthesize : ?binding:binding -> Scs.t -> context

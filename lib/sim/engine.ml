@@ -544,5 +544,12 @@ module Timer = struct
     if is_active timer then cancel_event timer.engine timer.id;
     rearm timer delay
 
+  let restart engine cell ~delay handler x =
+    match cell with
+    | Some timer ->
+      reschedule timer ~delay;
+      cell
+    | None -> Some (one_shot engine ~delay (fun () -> handler x))
+
   let expirations timer = timer.count
 end

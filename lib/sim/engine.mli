@@ -130,6 +130,12 @@ module Timer : sig
       Reuses the timer's closure and, while an expiry is pending, its
       event slot — no allocation. *)
 
+  val restart : t -> timer option -> delay:Time.t -> ('a -> unit) -> 'a -> timer option
+  (** [restart engine cell ~delay handler x] arms the one-shot timer held
+      in [cell] to run [handler x] after [delay], creating it on first use,
+      and returns the cell to store back.  The closure is built only when
+      the timer is created, so a re-arm allocates nothing. *)
+
   val is_active : timer -> bool
   (** [true] while the timer still has a pending expiry. *)
 

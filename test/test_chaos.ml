@@ -260,7 +260,7 @@ let run_liveness ~kill_after_heal =
     Session.Dispatcher.set_acceptor disp (fun ~src:_ ~conn:_ ~proposal ->
         let scs = match proposal with Some proposed -> proposed | None -> scs in
         Session.Dispatcher.Accept
-          { scs; name = "acc"; on_deliver = None; on_signal = None });
+          { scs; name = "acc"; on_deliver = None });
     disp
   in
   let disp_a = mk_disp a and disp_b = mk_disp b in

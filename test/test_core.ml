@@ -401,6 +401,20 @@ let test_tko_segue_to_fec_and_back () =
   | Ok _ -> check_bool "fec tx removed" true (ctx.Tko.fec_tx = None)
   | Error e -> Alcotest.fail e
 
+(* Connection management is bound from the SCS like every other
+   mechanism: a segue rebinds its scheme and keeps its state. *)
+let test_tko_segue_rebinds_connection () =
+  let ctx = Tko.synthesize { Scs.default with Scs.connection = Params.Two_way } in
+  let c = ctx.Tko.connection in
+  check_bool "handshake" true (Connection.start c ~peers:[ 1 ]);
+  check_bool "two-way confirms nothing" false (Connection.confirms c);
+  (match Tko.segue ctx { Scs.default with Scs.connection = Params.Three_way } with
+  | Ok changed -> Alcotest.(check (list string)) "changed" [ "connection" ] changed
+  | Error e -> Alcotest.fail e);
+  check_bool "same mechanism object" true (c == ctx.Tko.connection);
+  check_bool "three-way confirms" true (Connection.confirms c);
+  Alcotest.(check (list int)) "pending peer kept" [ 1 ] (Connection.pending c)
+
 let test_tko_segue_ordering_change_carries_cum_point () =
   let ctx = Tko.synthesize Scs.default in
   (* Receive 0..2 in order. *)
@@ -656,6 +670,8 @@ let suite =
         Alcotest.test_case "rate segue keeps token state" `Quick
           test_tko_segue_rate_keeps_tokens;
         Alcotest.test_case "segue to FEC and back" `Quick test_tko_segue_to_fec_and_back;
+        Alcotest.test_case "segue rebinds connection management" `Quick
+          test_tko_segue_rebinds_connection;
         Alcotest.test_case "ordering segue carries cum point" `Quick
           test_tko_segue_ordering_change_carries_cum_point;
         Alcotest.test_case "templates" `Quick test_tko_templates;

@@ -114,7 +114,6 @@ let make_rig ?(seed = 77) path =
                     | None -> ""
                   in
                   received := (del.Session.seq, bytes) :: !received);
-            on_signal = None;
           });
     d
   in

@@ -39,7 +39,6 @@ let run_transfer ~seed ~ber ~queue ~recovery ~reporting ~connection ~window
                 (fun _ del ->
                   seqs := del.Session.seq :: !seqs;
                   bytes := !bytes + del.Session.bytes);
-            on_signal = None;
           });
     d
   in

@@ -62,7 +62,6 @@ let make_fixture ?(seed = 7) ?(zero_cost = true) ~path_ab ?path_ac () =
                 (fun _ d ->
                   let log = Hashtbl.find deliveries addr in
                   log := d :: !log);
-            on_signal = None;
           });
     disp
   in
@@ -388,7 +387,6 @@ let test_negotiation_counter_proposal () =
               (fun _ d ->
                 let log = Hashtbl.find f.deliveries f.b in
                 log := d :: !log);
-          on_signal = None;
         });
   let scs = transfer_scs Params.Go_back_n (Params.Cumulative_ack { delay = Time.ms 1 }) in
   let s = Session.connect f.disp_a ~peers:[ f.b ] ~scs () in
@@ -453,32 +451,32 @@ let test_send_after_close_rejected () =
 
 (* ------------------------------------------------------------ signaling *)
 
+(* [reconfigure] carries the new configuration to the peer over the
+   out-of-band channel: the peer segues and answers, and the answer ends
+   the exchange — exactly one Signal, counted at both ends, and no
+   retransmission of it. *)
 let test_signal_round_trip () =
   let f = make_fixture ~path_ab:(lan ()) () in
-  let seen = ref [] in
-  Session.Dispatcher.set_acceptor f.disp_b (fun ~src:_ ~conn ~proposal ->
-      Session.Dispatcher.Accept
-        {
-          scs = Option.value ~default:Scs.default proposal;
-          name = Printf.sprintf "sig-%d" conn;
-          on_deliver = None;
-          on_signal =
-            Some
-              (fun _ blob ->
-                seen := blob :: !seen;
-                "pong:" ^ blob);
-        });
-  let replies = ref [] in
-  let s =
-    Session.connect f.disp_a ~peers:[ f.b ] ~scs:Scs.default
-      ~on_signal_reply:(fun _ r -> replies := r :: !replies)
-      ()
-  in
+  let peer = ref None in
+  Session.Dispatcher.set_delivery_tap f.disp_b (fun ep _ -> peer := Some ep);
+  let s = Session.connect f.disp_a ~peers:[ f.b ] ~scs:Scs.default () in
+  Session.send s ~bytes:1000 ();
   Engine.run f.engine ~until:(Time.ms 100);
-  Session.signal s "ping";
+  let r = match !peer with Some ep -> ep | None -> Alcotest.fail "nothing delivered" in
+  let control () = Unites.total f.unites ~session:(Session.id s) Unites.Control_pdus in
+  let before = control () in
+  let next = { Scs.default with Scs.priority = 1 } in
+  (match Session.reconfigure s next with
+  | Ok changed -> Alcotest.(check (list string)) "changed" [ "priority" ] changed
+  | Error e -> Alcotest.fail e);
   Engine.run f.engine ~until:(Time.sec 1.0);
-  Alcotest.(check (list string)) "peer saw blob" [ "ping" ] !seen;
-  Alcotest.(check (list string)) "initiator got reply" [ "pong:ping" ] !replies;
+  check_bool "peer segued" true (Scs.equal (Session.scs r) next);
+  Alcotest.(check (float 0.0)) "one signal, counted at both ends" 2.0 (control () -. before);
+  let reconfigs =
+    Unites.stats f.unites ~session:(Session.id s) Unites.Reconfigurations
+    |> Option.map (fun st -> st.Stats.n)
+  in
+  Alcotest.(check (option int)) "both ends reconfigured" (Some 2) reconfigs;
   Session.close s;
   Engine.run f.engine
 

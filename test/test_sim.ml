@@ -689,7 +689,15 @@ let test_engine_alloc_free () =
       Engine.Timer.reschedule timer ~delay:(Time.us (100 + (i land 32767)))
     done
   in
-  Alcotest.(check (float 0.0)) "1M Timer.reschedule" 0.0 (minor_words rearm)
+  Alcotest.(check (float 0.0)) "1M Timer.reschedule" 0.0 (minor_words rearm);
+  (* [restart] builds its closure only when it creates the timer. *)
+  let cell = ref None in
+  let restart () =
+    for i = 1 to 1_000_000 do
+      cell := Engine.Timer.restart e !cell ~delay:(Time.us (100 + (i land 32767))) ignore ()
+    done
+  in
+  Alcotest.(check (float 0.0)) "1M Timer.restart" 0.0 (minor_words restart)
 
 (* ----------------------------------------------------------------- Trace *)
 

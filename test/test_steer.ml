@@ -272,7 +272,6 @@ let make_fixture ?(seed = 7) () =
             scs;
             name = "acc";
             on_deliver = Some (fun _ d -> received := !received + d.Session.bytes);
-            on_signal = None;
           });
     disp
   in

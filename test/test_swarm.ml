@@ -285,7 +285,6 @@ let run_churn (seed, ops) =
               scs;
               name = Printf.sprintf "acc-%d" conn;
               on_deliver = Some record_delivery;
-              on_signal = None;
             });
     d
   in
