@@ -12,13 +12,12 @@ type context = {
   window : Window.t;
   rtt : Rtt.t;
   mutable reorder : Reorder.t;
-  mutable fec_rx_cell : Fec.Receiver.t option;
-  mutable fec_tx : Fec.Sender.t option;
   mutable rate : Rate.t option;
   mutable cc : Slowstart.t option;
   mutable playout : Playout.t option;
   mutable segue_count : int;
   connection : Connection.t;
+  recovery : Recovery.t;
 }
 
 let instantiate_rate (scs : Scs.t) =
@@ -31,11 +30,6 @@ let instantiate_cc (scs : Scs.t) =
   match scs.Scs.congestion with
   | Params.Slow_start { initial; threshold } -> Some (Slowstart.create ~initial ~threshold)
   | Params.No_congestion_control -> None
-
-let instantiate_fec_tx (scs : Scs.t) =
-  match scs.Scs.recovery with
-  | Params.Forward_error_correction { group } -> Some (Fec.Sender.create ~group)
-  | Params.No_recovery | Params.Go_back_n | Params.Selective_repeat -> None
 
 let instantiate_playout (scs : Scs.t) =
   match scs.Scs.delivery with
@@ -50,26 +44,13 @@ let synthesize ?(binding = Synthesized) (scs : Scs.t) =
     rtt = Rtt.create ~initial_rto:scs.Scs.initial_rto ();
     reorder =
       Reorder.create ~ordering:scs.Scs.ordering ~duplicates:scs.Scs.duplicates ();
-    fec_rx_cell = None;
-    fec_tx = instantiate_fec_tx scs;
     rate = instantiate_rate scs;
     cc = instantiate_cc scs;
     playout = instantiate_playout scs;
     segue_count = 0;
     connection = Connection.create scs.Scs.connection;
+    recovery = Recovery.create scs.Scs.recovery;
   }
-
-(* FEC reconstruction state materializes on first use: the receiver
-   carries three hash tables (~150 words), which would dominate endpoint
-   construction for the vast majority of sessions that never see a
-   parity group. *)
-let fec_rx ctx =
-  match ctx.fec_rx_cell with
-  | Some rx -> rx
-  | None ->
-    let rx = Fec.Receiver.create () in
-    ctx.fec_rx_cell <- Some rx;
-    rx
 
 let segue ctx (next : Scs.t) =
   match ctx.binding with
@@ -92,12 +73,6 @@ let segue ctx (next : Scs.t) =
       (match (ctx.cc, next.Scs.congestion) with
       | Some _, Params.Slow_start _ -> ()
       | _, _ -> ctx.cc <- instantiate_cc next);
-      (* Recovery: FEC accumulator appears/disappears; ARQ schemes share
-         the untouched Window.t, so GBN <-> SR swaps carry no state. *)
-      (match (ctx.fec_tx, next.Scs.recovery) with
-      | Some tx, Params.Forward_error_correction { group }
-        when Fec.Sender.group tx = group -> ()
-      | _, _ -> ctx.fec_tx <- instantiate_fec_tx next);
       (* Delivery: adjust the playout point in place when possible so
          released/discard statistics survive. *)
       (match (ctx.playout, next.Scs.delivery) with
@@ -126,6 +101,7 @@ let segue ctx (next : Scs.t) =
         ctx.reorder <- fresh
       end;
       Connection.rebind ctx.connection next.Scs.connection;
+      Recovery.rebind ctx.recovery next.Scs.recovery;
       ctx.scs <- next;
       ctx.segue_count <- ctx.segue_count + 1;
       Ok changed

@@ -30,10 +30,6 @@ type context = {
   window : Window.t;  (** Shared in-flight state (survives segue). *)
   rtt : Rtt.t;  (** Shared RTT history (survives segue). *)
   mutable reorder : Reorder.t;  (** Receiver sequencing state. *)
-  mutable fec_rx_cell : Fec.Receiver.t option;
-      (** FEC reconstruction state; [None] until first touched. *)
-  mutable fec_tx : Fec.Sender.t option;  (** Parity accumulator when FEC
-                                             recovery is bound. *)
   mutable rate : Rate.t option;  (** Pacer when rate-based transmission
                                      is bound. *)
   mutable cc : Slowstart.t option;  (** Congestion window when bound. *)
@@ -42,14 +38,14 @@ type context = {
   connection : Connection.t;
       (** Handshake and release state under the bound connection
           scheme (survives segue). *)
+  recovery : Recovery.t;
+      (** Loss-recovery state under the bound recovery scheme: timers,
+          acknowledgment state and FEC (survives segue). *)
 }
 
 val synthesize : ?binding:binding -> Scs.t -> context
 (** Instantiate every component the SCS names (Stage III).  Default
     binding is [Synthesized]. *)
-
-val fec_rx : context -> Fec.Receiver.t
-(** The context's FEC receiver, materialized on first use. *)
 
 val segue : context -> Scs.t -> (string list, string) result
 (** Rebind the context to a new SCS.  Returns the component names that

@@ -314,16 +314,23 @@ let test_unites_report_smoke () =
 
 (* ------------------------------------------------------------------ Tko *)
 
+(* Whether the context's recovery mechanism asks for parity within [n]
+   first transmissions: only a bound FEC sender ever does. *)
+let emits_parity ctx n =
+  List.exists
+    (fun seq -> Recovery.on_transmit ctx.Tko.recovery (Pdu.seg ~seq ~bytes:10 ()) <> None)
+    (List.init n Fun.id)
+
 let test_tko_synthesize_components () =
   let ctx = Tko.synthesize variant_scs in
   check_bool "rate pacer" true (ctx.Tko.rate <> None);
   check_bool "cc" true (ctx.Tko.cc <> None);
-  check_bool "fec tx" true (ctx.Tko.fec_tx <> None);
+  check_bool "fec tx" true (emits_parity ctx 5);
   check_bool "playout" true (ctx.Tko.playout <> None);
   let plain = Tko.synthesize Scs.default in
   check_bool "no pacer" true (plain.Tko.rate = None);
   check_bool "no cc" true (plain.Tko.cc = None);
-  check_bool "no fec" true (plain.Tko.fec_tx = None);
+  check_bool "no fec" false (emits_parity plain 64);
   check_bool "no playout" true (plain.Tko.playout = None)
 
 let test_tko_effective_window () =
@@ -395,10 +402,10 @@ let test_tko_segue_to_fec_and_back () =
      Tko.segue ctx
        { Scs.default with Scs.recovery = Params.Forward_error_correction { group = 4 } }
    with
-  | Ok _ -> check_bool "fec tx appears" true (ctx.Tko.fec_tx <> None)
+  | Ok _ -> check_bool "fec tx appears" true (emits_parity ctx 4)
   | Error e -> Alcotest.fail e);
   match Tko.segue ctx Scs.default with
-  | Ok _ -> check_bool "fec tx removed" true (ctx.Tko.fec_tx = None)
+  | Ok _ -> check_bool "fec tx removed" false (emits_parity ctx 64)
   | Error e -> Alcotest.fail e
 
 (* Connection management is bound from the SCS like every other
