@@ -4,8 +4,8 @@
     protocol headers, outermost first) and a {e data region} (a list of
     byte segments).  The representation is designed so that the operations
     protocol layers perform constantly — prepending a header
-    ([TKO_Message::push]), stripping one ([TKO_Message::pop]), splitting,
-    fragmenting to an MTU and reassembling — do {e not} touch payload
+    ([TKO_Message::push]), stripping one ([TKO_Message::pop]), fragmenting
+    to an MTU and reassembling — do {e not} touch payload
     bytes.  Payload bytes are shared between fragments ("lazy copying");
     the module counts every physical copy actually made, so the
     throughput-preservation experiments can charge memory-to-memory copy
@@ -50,12 +50,6 @@ val detach : t -> t
     how a consumer keeps payload bytes past the lifetime of a shared
     buffer it does not own (e.g. a {!of_bytes_slice} view over a pooled
     wire frame that returns to the pool at delivery). *)
-
-val split : t -> int -> t * t
-(** [split m n] divides the {e data region}: the first result carries the
-    first [n] data bytes, the second the rest.  Headers stay with the
-    first part.  Payload bytes are shared, not copied.  Raises
-    [Invalid_argument] if [n] is negative or exceeds [data_length m]. *)
 
 val fragment : t -> mtu:int -> t list
 (** [fragment m ~mtu] cuts the data region into pieces of at most [mtu]

@@ -119,8 +119,6 @@ let split_ix t i =
   mix_into t hi lo;
   { s_hi = t.r_hi; s_lo = t.r_lo; r_hi = 0; r_lo = 0 }
 
-let copy t = { s_hi = t.s_hi; s_lo = t.s_lo; r_hi = 0; r_lo = 0 }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   step t;
@@ -149,26 +147,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p outside (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
-let gaussian t ~mu ~sigma =
-  let u1 = 1.0 -. float t 1.0 in
-  let u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let pareto t ~shape ~scale =
   let u = 1.0 -. float t 1.0 in
   scale /. (u ** (1.0 /. shape))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -26,9 +26,6 @@ val split_ix : t -> int -> t
     other tasks ran first.  [i] must be non-negative
     ([Invalid_argument]). *)
 
-val copy : t -> t
-(** [copy t] is a generator that will produce the same stream as [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -50,14 +47,5 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val geometric : t -> p:float -> int
-(** Number of Bernoulli([p]) failures before the first success; [>= 0]. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normally distributed sample (Box–Muller). *)
-
 val pareto : t -> shape:float -> scale:float -> float
 (** Pareto sample — heavy-tailed; used for bursty traffic sizes. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -34,7 +34,6 @@ let allowlist =
     ("Mantts.synchronize", [ "test/test_mantts.ml" ], "paper mechanism: stream synchronization, §3");
     ("Msg.concat", [ "test/test_buf.ml" ], deferred "buf.msg fragment and concat");
     ("Msg.header_length", [ "test/test_buf.ml" ], observer);
-    ("Msg.split", [ "test/test_buf.ml" ], deferred "buf.msg split");
     ("Playout.discarded", [ "test/test_mech.ml" ], observer);
     ("Playout.released", [ "test/test_mech.ml" ], observer);
     ("Pool.in_use", [ "test/test_buf.ml" ], observer);
@@ -49,10 +48,6 @@ let allowlist =
     ("Protograph.remove_layer", [ "test/test_core.ml" ], "paper mechanism: graph edit, §4.2.1");
     ("Protograph.uppers", [ "test/test_core.ml" ], "paper mechanism: graph query, §4.2.1");
     ("Reorder.highest_seen", [ "test/test_mech.ml" ], observer);
-    ("Rng.copy", [ "test/test_sim.ml" ], deferred "sim.rng split and copy");
-    ("Rng.gaussian", [ "test/test_sim.ml" ], deferred "sim.rng gaussian moments");
-    ("Rng.geometric", [ "test/test_sim.ml" ], deferred "sim.rng geometric");
-    ("Rng.shuffle", [ "test/test_sim.ml" ], deferred "sim.rng shuffle is a permutation");
     ("Rtt.rttvar", [ "test/test_mech.ml" ], observer);
     ("Rtt.samples", [ "test/test_core.ml"; "test/test_mech.ml" ], observer);
     ("Session.Dispatcher.half_open_count", [ "test/test_lifecycle.ml"; "test/test_swarm.ml" ], observer);

@@ -29,28 +29,6 @@ let test_msg_push_pop () =
   Alcotest.(check (option string)) "pop empty" None (Msg.pop m);
   check_int "data untouched" 7 (Msg.data_length m)
 
-let test_msg_split () =
-  let m = Msg.of_string "abcdefghij" in
-  Msg.push m "H";
-  let front, back = Msg.split m 4 in
-  check_str "front data" "abcd" (Msg.data_to_string front);
-  check_str "back data" "efghij" (Msg.data_to_string back);
-  check_int "headers stay with front" 1 (Msg.header_length front);
-  check_int "back headerless" 0 (Msg.header_length back);
-  Alcotest.check_raises "negative" (Invalid_argument "Msg.split: index out of range")
-    (fun () -> ignore (Msg.split m (-1)));
-  Alcotest.check_raises "too large" (Invalid_argument "Msg.split: index out of range")
-    (fun () -> ignore (Msg.split m 11))
-
-let test_msg_split_edges () =
-  let m = Msg.of_string "xyz" in
-  let a, b = Msg.split m 0 in
-  check_int "empty front" 0 (Msg.data_length a);
-  check_str "full back" "xyz" (Msg.data_to_string b);
-  let c, d = Msg.split m 3 in
-  check_str "full front" "xyz" (Msg.data_to_string c);
-  check_int "empty back" 0 (Msg.data_length d)
-
 let test_msg_fragment_concat () =
   let m = Msg.of_string "0123456789abcdef" in
   let frags = Msg.fragment m ~mtu:5 in
@@ -77,8 +55,7 @@ let test_msg_copy_sharing () =
 let test_msg_copy_counters () =
   Msg.reset_copy_counters ();
   let m = Msg.of_string "0123456789" in
-  let _frags = Msg.fragment m ~mtu:3 in
-  let _halves = Msg.split m 5 in
+  ignore (Msg.concat (Msg.fragment m ~mtu:3));
   check_int "logical ops copy nothing" 0 (Msg.physical_copies ());
   ignore (Msg.data_to_string m);
   check_int "materialize counts" 1 (Msg.physical_copies ());
@@ -89,7 +66,7 @@ let test_msg_copy_counters () =
 
 let test_msg_iter_data () =
   let m = Msg.of_string "abcdef" in
-  let _, back = Msg.split m 2 in
+  let back = Msg.concat (List.tl (Msg.fragment m ~mtu:2)) in
   let collected = Buffer.create 8 in
   Msg.iter_data back (fun b off len -> Buffer.add_subbytes collected b off len);
   check_str "iter over segments" "cdef" (Buffer.contents collected)
@@ -125,15 +102,6 @@ let prop_fragment_roundtrip =
     (fun (s, mtu) ->
       let m = Msg.of_string s in
       Msg.data_to_string (Msg.concat (Msg.fragment m ~mtu)) = s)
-
-let prop_split_partition =
-  QCheck2.Test.make ~name:"split partitions the data region" ~count:300
-    QCheck2.Gen.(string_size (int_range 0 100))
-    (fun s ->
-      let n = String.length s / 2 in
-      let m = Msg.of_string s in
-      let a, b = Msg.split m n in
-      Msg.data_to_string a ^ Msg.data_to_string b = s)
 
 let prop_push_pop_roundtrip =
   QCheck2.Test.make ~name:"push then pop returns headers LIFO" ~count:200
@@ -365,12 +333,9 @@ let prop_msg_cached_data_length =
     (fun (s, mtu) ->
       let m = Msg.of_string s in
       let n = String.length s in
-      let front, back = Msg.split m (n / 2) in
       let frags = Msg.fragment m ~mtu in
-      let whole = Msg.concat (front :: back :: frags) in
+      let whole = Msg.concat (m :: frags) in
       Msg.data_length m = recounted_data_length m
-      && Msg.data_length front = n / 2
-      && Msg.data_length back = n - (n / 2)
       && List.for_all (fun f -> Msg.data_length f = recounted_data_length f) frags
       && Msg.data_length whole = 2 * n)
 
@@ -517,8 +482,6 @@ let suite =
       [
         Alcotest.test_case "create and lengths" `Quick test_msg_create;
         Alcotest.test_case "header push/pop" `Quick test_msg_push_pop;
-        Alcotest.test_case "split" `Quick test_msg_split;
-        Alcotest.test_case "split edges" `Quick test_msg_split_edges;
         Alcotest.test_case "fragment and concat" `Quick test_msg_fragment_concat;
         Alcotest.test_case "lazy copy shares payload" `Quick test_msg_copy_sharing;
         Alcotest.test_case "copy counters" `Quick test_msg_copy_counters;
@@ -529,7 +492,6 @@ let suite =
       @ qsuite
           [
             prop_fragment_roundtrip;
-            prop_split_partition;
             prop_push_pop_roundtrip;
             prop_msg_cached_data_length;
             prop_msg_cached_header_length;

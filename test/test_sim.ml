@@ -108,16 +108,12 @@ let test_rng_determinism () =
   let seq_c = List.init 32 (fun _ -> Rng.bits64 c) in
   check_bool "different seed different stream" false (seq_a = seq_c)
 
-let test_rng_split_copy () =
+let test_rng_split () =
   let a = Rng.create 7 in
   let b = Rng.split a in
   let rest_a = List.init 16 (fun _ -> Rng.bits64 a) in
   let rest_b = List.init 16 (fun _ -> Rng.bits64 b) in
-  check_bool "split independent" false (rest_a = rest_b);
-  let c = Rng.create 7 in
-  let d = Rng.copy c in
-  check_bool "copy same stream" true
-    (List.init 8 (fun _ -> Rng.bits64 c) = List.init 8 (fun _ -> Rng.bits64 d))
+  check_bool "split independent" false (rest_a = rest_b)
 
 let test_rng_split_ix () =
   (* Pure: deriving never advances the parent. *)
@@ -173,37 +169,6 @@ let test_rng_exponential_mean () =
     sum := !sum +. Rng.exponential rng ~mean:3.0
   done;
   check_float "sample mean near 3.0" ~eps:0.15 3.0 (!sum /. float_of_int n)
-
-let test_rng_geometric () =
-  let rng = Rng.create 6 in
-  check_int "p=1 is 0" 0 (Rng.geometric rng ~p:1.0);
-  for _ = 1 to 500 do
-    if Rng.geometric rng ~p:0.3 < 0 then Alcotest.fail "negative geometric"
-  done;
-  Alcotest.check_raises "bad p" (Invalid_argument "Rng.geometric: p outside (0,1]")
-    (fun () -> ignore (Rng.geometric rng ~p:0.0))
-
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 8 in
-  let n = 20_000 in
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for _ = 1 to n do
-    let v = Rng.gaussian rng ~mu:10.0 ~sigma:2.0 in
-    sum := !sum +. v;
-    sq := !sq +. (v *. v)
-  done;
-  let mean = !sum /. float_of_int n in
-  let var = (!sq /. float_of_int n) -. (mean *. mean) in
-  check_float "mean" ~eps:0.1 10.0 mean;
-  check_float "variance" ~eps:0.3 4.0 var
-
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 13 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
 let prop_rng_pareto_scale =
   QCheck2.Test.make ~name:"pareto samples >= scale" ~count:100
@@ -778,15 +743,12 @@ let suite =
     ( "sim.rng",
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
-        Alcotest.test_case "split and copy" `Quick test_rng_split_copy;
+        Alcotest.test_case "split streams are independent" `Quick test_rng_split;
         Alcotest.test_case "indexed split is pure and independent" `Quick
           test_rng_split_ix;
         Alcotest.test_case "bounds" `Quick test_rng_bounds;
         Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-        Alcotest.test_case "geometric" `Quick test_rng_geometric;
-        Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
-        Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
       ]
       @ qsuite [ prop_rng_pareto_scale ] );
     ( "sim.stats",
