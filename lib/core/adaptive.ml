@@ -21,7 +21,11 @@ let create_stack ?(seed = 1) ?(whitebox = true) ?metric_reservoir
     Unites.create ~whitebox ?reservoir:metric_reservoir
       ?estimator:metric_estimator engine
   in
-  let mantts = Mantts.create ~net ~unites ~rng:(Rng.split rng) () in
+  (* MANTTS draws nothing, but callers hand [rng] to [Workloads.drive]
+     after this, so the split stays: without it every stream drawn later
+     would move. *)
+  ignore (Rng.split rng);
+  let mantts = Mantts.create ~net ~unites () in
   { engine; rng; topology; net; unites; mantts }
 
 let mantts stack = stack.mantts

@@ -26,7 +26,6 @@ type monitor = {
   m_acd : Acd.t;
   m_src : Network.addr;
   m_rules : rule_state list;
-  m_original : Scs.t;
   m_base_rate : float option;
   m_playout_allowance : Time.t option;
   m_latency_bound : Time.t option;
@@ -62,7 +61,6 @@ type t = {
   net : Pdu.t Network.t;
   t_engine : Engine.t;
   t_unites : Unites.t;
-  rng : Rng.t;
   entities : (Network.addr, entity) Hashtbl.t;
   monitors : (int, monitor) Hashtbl.t; (* keyed by session id *)
   (* The shared tick's working set: monitored monitors in insertion
@@ -122,13 +120,11 @@ let monitor_interval = Time.ms 100
    the policy monitor entirely. *)
 let min_monitored_duration = Time.sec 2.0
 
-let create ~net ~unites ~rng () =
-  ignore rng;
+let create ~net ~unites () =
   {
     net;
     t_engine = Network.engine net;
     t_unites = unites;
-    rng;
     entities = Hashtbl.create 8;
     monitors = Hashtbl.create 64;
     mon_arr = Array.make 16 None;
@@ -549,7 +545,7 @@ let derived t ~src (acd : Acd.t) tsc =
 (* ------------------------------------------------------------------ *)
 (* Built-in adaptation policies (§3(C)) *)
 
-let builtin_rules (scs : Scs.t) (qos : Qos.t) pol =
+let builtin_rules (scs : Scs.t) (qos : Qos.t) =
   let arq = Scs.reliable scs in
   let rules = ref [] in
   let add condition action = rules := { Acd.condition; action; once = false } :: !rules in
@@ -582,7 +578,6 @@ let builtin_rules (scs : Scs.t) (qos : Qos.t) pol =
     add
       (Acd.All_of [ Acd.Congestion_above 0.75; Acd.Rtt_below (Time.ms 150) ])
       (Acd.Switch_recovery (Params.Forward_error_correction { group = 4 }));
-  ignore pol;
   List.rev !rules
 
 (* ------------------------------------------------------------------ *)
@@ -906,8 +901,7 @@ let try_open_session ?name ?on_deliver ?on_notify ?scs_transform t ~src ~acd () 
       match Hashtbl.find t.rules_cache (scs, acd.Acd.qos) with
       | rs -> rs
       | exception Not_found ->
-        let pol = Tsc.policies tsc acd.Acd.qos in
-        let rs = builtin_rules scs acd.Acd.qos pol in
+        let rs = builtin_rules scs acd.Acd.qos in
         if Hashtbl.length t.rules_cache >= memo_bound then
           Hashtbl.reset t.rules_cache;
         Hashtbl.add t.rules_cache (scs, acd.Acd.qos) rs;
@@ -932,7 +926,6 @@ let try_open_session ?name ?on_deliver ?on_notify ?scs_transform t ~src ~acd () 
       m_acd = acd;
       m_src = src;
       m_rules = rules;
-      m_original = scs;
       m_base_rate = base_rate;
       m_playout_allowance = playout_allowance;
       m_latency_bound =

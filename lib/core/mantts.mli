@@ -31,7 +31,7 @@ type t
 type entity
 (** The per-host MANTTS entity. *)
 
-val create : net:Pdu.t Network.t -> unites:Unites.t -> rng:Rng.t -> unit -> t
+val create : net:Pdu.t Network.t -> unites:Unites.t -> unit -> t
 (** Build the policy subsystem over a network. *)
 
 val engine : t -> Engine.t
