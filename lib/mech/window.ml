@@ -78,16 +78,6 @@ let touch t seq ~at =
     e.sent_at <- at;
     e.retries <- e.retries + 1
 
-let lowest_outstanding t =
-  if t.count = 0 then None
-  else begin
-    (* Tighten [low] while scanning so repeated queries stay cheap. *)
-    while t.low < t.high && get t t.low = None do
-      t.low <- t.low + 1
-    done;
-    match get t t.low with Some e -> Some e.seg.Pdu.seq | None -> None
-  end
-
 let on_cumulative_ack t ~cum =
   if t.count = 0 || cum <= t.low then []
   else begin

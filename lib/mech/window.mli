@@ -43,9 +43,6 @@ val touch : t -> int -> at:Time.t -> unit
 val find : t -> int -> entry option
 (** Look up an outstanding segment. *)
 
-val lowest_outstanding : t -> int option
-(** Smallest outstanding sequence number. *)
-
 val on_cumulative_ack : t -> cum:int -> entry list
 (** Drop every entry with [seq < cum]; returns them (oldest first) so the
     caller can sample RTTs and count deliveries. *)
