@@ -4,12 +4,12 @@
     object that MANTTS Stage III produces.  It interprets the mechanism
     bindings in its {!Tko.context} over incoming and outgoing PDUs:
     segmentation, window/rate transmission control, checksum validation,
-    acknowledgment and NACK generation, retransmission, FEC encode and
-    reconstruct, sequencing, duplicate suppression, playout-point
-    delivery, the PDUs of connection handshakes and graceful release
-    (whose state machine is the context's {!Adaptive_mech.Connection}
-    mechanism), and the out-of-band signaling channel used for
-    renegotiation.
+    acknowledgment and NACK generation, the retransmissions and parity
+    PDUs its {!Adaptive_mech.Recovery} mechanism asks for, sequencing,
+    duplicate suppression, playout-point delivery, the PDUs of
+    connection handshakes and graceful release (whose state machine is
+    the context's {!Adaptive_mech.Connection} mechanism), and the
+    out-of-band signaling channel used for renegotiation.
 
     Endpoints at one host share a {!Dispatcher} — the [TKO_Protocol]
     analog — which demultiplexes arriving PDUs to sessions by connection
@@ -149,7 +149,9 @@ val add_peer : t -> Network.addr -> unit
     with a connection request carrying the current sequence position. *)
 
 val remove_peer : t -> Network.addr -> unit
-(** Drop a member from the session. *)
+(** Drop a member from the session.  When an opening session was still
+    waiting only for that member's answer, it is established toward the
+    members that answered, or closed when none is left. *)
 
 val id : t -> int
 (** Connection identifier (shared by both endpoints). *)
