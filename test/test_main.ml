@@ -7,4 +7,5 @@ let () =
    @ Test_workloads.suite @ Test_payload.suite @ Test_random.suite
    @ Test_integration.suite @ Test_chaos.suite @ Test_fleet.suite
    @ Test_swarm.suite @ Test_megaswarm.suite @ Test_steer.suite
-   @ Test_golden.suite @ Test_lifecycle.suite @ Test_recovery.suite)
+   @ Test_golden.suite @ Test_lifecycle.suite @ Test_recovery.suite
+   @ Test_transmission.suite)
