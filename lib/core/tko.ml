@@ -12,24 +12,12 @@ type context = {
   window : Window.t;
   rtt : Rtt.t;
   mutable reorder : Reorder.t;
-  mutable rate : Rate.t option;
-  mutable cc : Slowstart.t option;
   mutable playout : Playout.t option;
   mutable segue_count : int;
   connection : Connection.t;
+  transmission : Transmission.t;
   recovery : Recovery.t;
 }
-
-let instantiate_rate (scs : Scs.t) =
-  match scs.Scs.transmission with
-  | Params.Rate_based { rate_bps; burst } ->
-    Some (Rate.create ~rate_bps ~burst_bytes:(burst * scs.Scs.segment_bytes))
-  | Params.Stop_and_wait | Params.Sliding_window _ -> None
-
-let instantiate_cc (scs : Scs.t) =
-  match scs.Scs.congestion with
-  | Params.Slow_start { initial; threshold } -> Some (Slowstart.create ~initial ~threshold)
-  | Params.No_congestion_control -> None
 
 let instantiate_playout (scs : Scs.t) =
   match scs.Scs.delivery with
@@ -44,11 +32,12 @@ let synthesize ?(binding = Synthesized) (scs : Scs.t) =
     rtt = Rtt.create ~initial_rto:scs.Scs.initial_rto ();
     reorder =
       Reorder.create ~ordering:scs.Scs.ordering ~duplicates:scs.Scs.duplicates ();
-    rate = instantiate_rate scs;
-    cc = instantiate_cc scs;
     playout = instantiate_playout scs;
     segue_count = 0;
     connection = Connection.create scs.Scs.connection;
+    transmission =
+      Transmission.create scs.Scs.transmission scs.Scs.congestion
+        ~segment_bytes:scs.Scs.segment_bytes ~peer_window:scs.Scs.recv_buffer_segments;
     recovery = Recovery.create scs.Scs.recovery;
   }
 
@@ -60,19 +49,8 @@ let segue ctx (next : Scs.t) =
     let changed = Scs.component_names ctx.scs next in
     if changed = [] then Ok []
     else begin
-      (* Transmission: keep the pacer's token level on a pure rate change;
-         otherwise (re)instantiate. *)
-      (match (ctx.rate, next.Scs.transmission) with
-      | Some pacer, Params.Rate_based { rate_bps; _ } -> Rate.set_rate pacer ~rate_bps
-      | _, _ -> ctx.rate <- instantiate_rate next);
-      (match next.Scs.transmission with
-      | Params.Rate_based _ -> ()
-      | Params.Stop_and_wait | Params.Sliding_window _ -> ctx.rate <- None);
-      (* Congestion control: preserve an existing window if the scheme is
-         unchanged in kind. *)
-      (match (ctx.cc, next.Scs.congestion) with
-      | Some _, Params.Slow_start _ -> ()
-      | _, _ -> ctx.cc <- instantiate_cc next);
+      Transmission.rebind ctx.transmission next.Scs.transmission next.Scs.congestion
+        ~segment_bytes:next.Scs.segment_bytes;
       (* Delivery: adjust the playout point in place when possible so
          released/discard statistics survive. *)
       (match (ctx.playout, next.Scs.delivery) with
@@ -83,37 +61,18 @@ let segue ctx (next : Scs.t) =
       if
         ctx.scs.Scs.ordering <> next.Scs.ordering
         || ctx.scs.Scs.duplicates <> next.Scs.duplicates
-      then begin
-        let fresh =
-          Reorder.create ~ordering:next.Scs.ordering ~duplicates:next.Scs.duplicates ()
-        in
+      then
         (* Carry the cumulative point forward so no segment is delivered
            twice or skipped. *)
-        let rec catch_up n =
-          if n < Reorder.expected ctx.reorder then begin
-            ignore
-              (Reorder.offer fresh
-                 (Pdu.seg ~seq:n ~bytes:0 ()));
-            catch_up (n + 1)
-          end
-        in
-        catch_up 0;
-        ctx.reorder <- fresh
-      end;
+        ctx.reorder <-
+          Reorder.create ~start:(Reorder.expected ctx.reorder) ~ordering:next.Scs.ordering
+            ~duplicates:next.Scs.duplicates ();
       Connection.rebind ctx.connection next.Scs.connection;
       Recovery.rebind ctx.recovery next.Scs.recovery;
       ctx.scs <- next;
       ctx.segue_count <- ctx.segue_count + 1;
       Ok changed
     end
-
-let effective_send_window ctx ~peer_window =
-  match ctx.scs.Scs.transmission with
-  | Params.Rate_based _ -> max_int
-  | Params.Stop_and_wait -> 1
-  | Params.Sliding_window { window } ->
-    let cc_bound = match ctx.cc with Some cc -> Slowstart.window cc | None -> max_int in
-    max 1 (min window (min peer_window cc_bound))
 
 module Templates = struct
   let tcp_compatible = "tcp-compatible"

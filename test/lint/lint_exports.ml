@@ -54,8 +54,6 @@ let allowlist =
     ( "Session.Dispatcher.time_wait_count",
       [ "test/test_lifecycle.ml"; "test/test_steer.ml"; "test/test_swarm.ml" ],
       observer );
-    ("Slowstart.losses", [ "test/test_mech.ml" ], observer);
-    ("Slowstart.threshold", [ "test/test_mech.ml" ], observer);
     ("Stats.estimator_kind", [ "test/test_megaswarm.ml" ], observer);
     ( "Stats.quantile",
       [ "test/test_megaswarm.ml"; "test/test_sim.ml" ],
