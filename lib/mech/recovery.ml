@@ -146,7 +146,7 @@ let arm_skip t engine ~ordering reorder playout ~initial_rto handler x =
   in
   if
     ordering = Params.Ordered && (not retransmits)
-    && Reorder.missing reorder <> []
+    && Reorder.has_gap reorder
     && not (active t.skip_timer)
   then begin
     (* A playout receiver waits two playout delays: by then the segment

@@ -32,6 +32,9 @@ val missing : t -> int list
 (** Gaps: sequence numbers in [\[expected, highest_seen\]] not yet
     received, ascending. *)
 
+val has_gap : t -> bool
+(** Whether {!missing} is non-empty, without building it. *)
+
 val highest_seen : t -> int
 (** Largest sequence number received, [-1] initially. *)
 
