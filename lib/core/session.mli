@@ -202,10 +202,8 @@ val loss_rate_estimate : t -> float
     sent) — the loss signal the TSA policies test. *)
 
 val backlog_delay : t -> Adaptive_sim.Time.t
-(** How long the data now queued at this sender will take to drain at the
-    bound pacer rate (zero for window-based transmission) — the
-    self-induced component of end-to-end delay, which playout policies
-    must absorb. *)
+(** {!Adaptive_mech.Transmission.backlog_delay} of the data now queued:
+    the self-induced part of end-to-end delay that playout must absorb. *)
 
 (** {2 Wire-true mode}
 
