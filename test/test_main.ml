@@ -8,4 +8,4 @@ let () =
    @ Test_integration.suite @ Test_chaos.suite @ Test_fleet.suite
    @ Test_swarm.suite @ Test_megaswarm.suite @ Test_steer.suite
    @ Test_golden.suite @ Test_lifecycle.suite @ Test_recovery.suite
-   @ Test_transmission.suite)
+   @ Test_transmission.suite @ Test_reporting.suite)
