@@ -17,6 +17,7 @@ type context = {
   connection : Connection.t;
   transmission : Transmission.t;
   recovery : Recovery.t;
+  reporting : Reporting.t;
 }
 
 let instantiate_playout (scs : Scs.t) =
@@ -39,6 +40,9 @@ let synthesize ?(binding = Synthesized) (scs : Scs.t) =
       Transmission.create scs.Scs.transmission scs.Scs.congestion
         ~segment_bytes:scs.Scs.segment_bytes ~peer_window:scs.Scs.recv_buffer_segments;
     recovery = Recovery.create scs.Scs.recovery;
+    reporting =
+      Reporting.create scs.Scs.reporting scs.Scs.detection ~initial_rto:scs.Scs.initial_rto
+        ~recv_buffer:scs.Scs.recv_buffer_segments;
   }
 
 let segue ctx (next : Scs.t) =
@@ -69,6 +73,8 @@ let segue ctx (next : Scs.t) =
             ~duplicates:next.Scs.duplicates ();
       Connection.rebind ctx.connection next.Scs.connection;
       Recovery.rebind ctx.recovery next.Scs.recovery;
+      Reporting.rebind ctx.reporting next.Scs.reporting next.Scs.detection
+        ~initial_rto:next.Scs.initial_rto ~recv_buffer:next.Scs.recv_buffer_segments;
       ctx.scs <- next;
       ctx.segue_count <- ctx.segue_count + 1;
       Ok changed

@@ -41,6 +41,10 @@ type context = {
   recovery : Recovery.t;
       (** Loss-recovery state under the bound recovery scheme: timers,
           acknowledgment state and FEC (survives segue). *)
+  reporting : Reporting.t;
+      (** Detection and reporting under the bound schemes: the
+          delayed-ack and re-NACK timers and the echo stamp (survive
+          segue). *)
 }
 
 val synthesize : ?binding:binding -> Scs.t -> context

@@ -169,11 +169,7 @@ let test_scs_component_names () =
 
 let test_scs_predicates () =
   check_bool "gbn reliable" true (Scs.reliable Scs.default);
-  check_bool "fec not ARQ-reliable" false (Scs.reliable variant_scs);
-  check_bool "cumack tracks" true (Scs.tracks_peer_feedback Scs.default);
-  check_bool "nack tracks" true (Scs.tracks_peer_feedback variant_scs);
-  let silent = { variant_scs with Scs.reporting = Params.No_report } in
-  check_bool "no report does not track" false (Scs.tracks_peer_feedback silent)
+  check_bool "fec not ARQ-reliable" false (Scs.reliable variant_scs)
 
 (* ------------------------------------------------------------------ Acd *)
 

@@ -995,6 +995,182 @@ let test_recovery_ack_path_alloc_free () =
   acks ();
   Alcotest.(check (float 0.0)) "100k acknowledgments" 0.0 (Gc.minor_words () -. before)
 
+(* ------------------------------------------------------------- Reporting *)
+
+let reporting ?(detection = Params.Internet_checksum) scheme =
+  Reporting.create scheme detection ~initial_rto ~recv_buffer:8
+
+let cumack = Params.Cumulative_ack { delay = Time.ms 2 }
+let sack = Params.Selective_ack { delay = Time.ms 2 }
+
+(* A receiver that has seen [seqs]. *)
+let reorder_of seqs =
+  let r = Reorder.create ~ordering:Params.Ordered ~duplicates:Params.Drop_duplicates () in
+  List.iter (fun seq -> ignore (Reorder.offer r (Pdu.seg ~seq ~bytes:100 ()))) seqs;
+  r
+
+let verdict =
+  Alcotest.testable
+    (fun fmt v ->
+      Format.pp_print_string fmt
+        (match v with
+        | Reporting.Quiet -> "quiet"
+        | Reporting.Ack -> "ack"
+        | Reporting.Ack_sack -> "ack+sack"
+        | Reporting.Nack l -> "nack " ^ String.concat "," (List.map string_of_int l)))
+    ( = )
+
+let test_reporting_sender () =
+  let counts scheme =
+    let w = window_of [ 0; 1; 2 ] ~at:0 in
+    Reporting.in_flight (reporting scheme) w
+  in
+  check_int "cumulative acks count the window" 3 (counts cumack);
+  check_int "NACKs count the window" 3 (counts Params.Nack_on_gap);
+  check_int "no reporting counts nothing" 0 (counts Params.No_report);
+  check_bool "cumulative acks drain" true (Reporting.acks_drain (reporting cumack));
+  check_bool "SACK drains" true (Reporting.acks_drain (reporting sack));
+  check_bool "NACKs do not drain" false (Reporting.acks_drain (reporting Params.Nack_on_gap));
+  check_bool "silence does not drain" false (Reporting.acks_drain (reporting Params.No_report));
+  let track scheme n =
+    let r = reporting scheme and w = Window.create () in
+    for seq = 0 to n - 1 do
+      Reporting.track r w (Pdu.seg ~seq ~bytes:100 ()) ~at:0 ~next_seq:(seq + 1)
+    done;
+    (Window.in_flight w, Option.map (fun e -> e.Window.seg.Pdu.seq) (Window.find w 0))
+  in
+  Alcotest.(check (pair int (option int))) "no reporting tracks nothing" (0, None)
+    (track Params.No_report 300);
+  Alcotest.(check (pair int (option int))) "acks keep every segment" (300, Some 0)
+    (track cumack 300);
+  Alcotest.(check (pair int (option int))) "NACK repair history capped at 256" (256, None)
+    (track Params.Nack_on_gap 300)
+
+let test_reporting_arrivals () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let note what = fired := (what, Engine.now engine) :: !fired in
+  let arrive ?(prior = []) ?(duplicate = false) r reorder =
+    Reporting.on_data r engine reorder ~prior ~duplicate note "ack"
+  in
+  let in_order = reorder_of [ 0; 1 ] and gap = reorder_of [ 0; 2 ] in
+  Alcotest.check verdict "no reporting" Reporting.Quiet
+    (arrive (reporting Params.No_report) gap);
+  Alcotest.check verdict "a gap is acked at once" Reporting.Ack (arrive (reporting cumack) gap);
+  Alcotest.check verdict "with SACK blocks" Reporting.Ack_sack (arrive (reporting sack) gap);
+  let r = reporting sack in
+  Alcotest.check verdict "in order: delayed" Reporting.Quiet (arrive r in_order);
+  Alcotest.check verdict "a duplicate waits too" Reporting.Quiet
+    (arrive ~duplicate:true r in_order);
+  check_bool "the delayed ack keeps its SACK flag" true (Reporting.delayed_sack r);
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "one delayed ack after the delay"
+    [ ("ack", Time.ms 2) ] !fired;
+  fired := [];
+  ignore (arrive ~duplicate:true (reporting cumack) in_order);
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "gap-free duplicates coalesce for 25 ms"
+    [ ("ack", Time.ms 27) ] !fired;
+  let nack = reporting Params.Nack_on_gap in
+  let wide = reorder_of [ 0; 40 ] in
+  Alcotest.check verdict "a new gap is NACKed, 32 at most"
+    (Reporting.Nack (List.init 32 (fun i -> i + 1)))
+    (arrive nack wide);
+  Alcotest.check verdict "an old gap is not"
+    Reporting.Quiet
+    (arrive ~prior:(Reporting.gaps_before nack wide) nack wide);
+  Alcotest.(check (list int)) "no gaps before under acks" []
+    (Reporting.gaps_before (reporting cumack) wide);
+  Alcotest.(check (list int)) "at most 16 SACK blocks" (List.init 16 (fun i -> i + 40))
+    (Reporting.sack_blocks (reorder_of (List.init 20 (fun i -> i + 40))) ~with_sack:true);
+  Alcotest.(check (list int)) "none without SACK" []
+    (Reporting.sack_blocks wide ~with_sack:false);
+  check_int "advertised window: buffer minus what waits" 7
+    (Reporting.advertised_window nack wide);
+  Reporting.note_stamp nack (Time.ms 5);
+  Reporting.note_stamp nack (Time.ms 3);
+  check_int "echo the newest stamp" (Time.ms 5) (Reporting.echo nack)
+
+(* The timers armed under one scheme outlive a segue: a delayed ack still
+   goes out (with the SACK flag it was armed with), and a pending re-NACK
+   fires once under the new scheme. *)
+let test_reporting_timers () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let note what = fired := (what, Engine.now engine) :: !fired in
+  let rebind r scheme =
+    Reporting.rebind r scheme Params.Internet_checksum ~initial_rto ~recv_buffer:8
+  in
+  let gap = reorder_of [ 0; 2 ] in
+  let r = reporting sack in
+  ignore (Reporting.on_data r engine (reorder_of [ 0 ]) ~prior:[] ~duplicate:false note "ack");
+  Reporting.arm_renack r engine gap note "renack";
+  rebind r Params.Nack_on_gap;
+  Reporting.arm_renack r engine (reorder_of [ 0 ]) note "renack";
+  check_bool "no gap, no re-NACK" true (Engine.next_deadline engine = Some (Time.ms 2));
+  Reporting.arm_renack r engine gap note "renack";
+  Reporting.arm_renack r engine gap note "renack (already running)";
+  rebind r Params.No_report;
+  check_bool "the SACK flag survives" true (Reporting.delayed_sack r);
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "each fires once after the segue"
+    [ ("ack", Time.ms 2); ("renack", initial_rto) ]
+    (List.rev !fired);
+  Alcotest.(check (list int)) "what the re-NACK names" [ 1 ] (Reporting.renack gap);
+  fired := [];
+  rebind r Params.Nack_on_gap;
+  ignore (Reporting.on_data r engine gap ~prior:[] ~duplicate:false note "ack");
+  Reporting.arm_renack r engine gap note "renack";
+  Reporting.release r;
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "released" [] !fired
+
+let test_reporting_detection () =
+  let det detection = reporting ~detection cumack in
+  check_bool "checksum discards" true
+    (Reporting.detected (det Params.Internet_checksum) ~corrupted:true);
+  check_bool "CRC discards" true (Reporting.detected (det Params.Crc32) ~corrupted:true);
+  check_bool "no detection delivers" false
+    (Reporting.detected (det Params.No_detection) ~corrupted:true);
+  check_bool "an intact PDU passes" false
+    (Reporting.detected (det Params.Crc32) ~corrupted:false);
+  Alcotest.(check (list int)) "verification ns per 1000 bytes" [ 0; 12_000; 60_000 ]
+    (List.map
+       (fun d -> Reporting.verify_cost (det d) ~bytes:1000)
+       [ Params.No_detection; Params.Internet_checksum; Params.Crc32 ])
+
+(* The per-arrival decisions of the cumulative-ack and SACK paths, each
+   re-arming the delayed-ack timer: only the first arm may allocate. *)
+let test_reporting_arrival_alloc_free () =
+  let engine = Engine.create () in
+  let in_order = reorder_of [ 0; 1 ] and gap = reorder_of [ 0; 2 ] in
+  let w = window_of [ 0 ] ~at:0 in
+  let cum = reporting cumack and sel = reporting sack in
+  let arrive r i =
+    Reporting.note_stamp r i;
+    ignore (Reporting.detected r ~corrupted:false);
+    ignore (Reporting.verify_cost r ~bytes:1000);
+    let prior = Reporting.gaps_before r in_order in
+    ignore (Reporting.on_data r engine gap ~prior ~duplicate:false ignore ());
+    ignore (Reporting.on_data r engine in_order ~prior ~duplicate:(i land 1 = 0) ignore ());
+    Reporting.arm_renack r engine gap ignore ();
+    ignore (Reporting.advertised_window r gap);
+    ignore (Reporting.in_flight r w);
+    ignore (Reporting.acks_drain r)
+  in
+  let arrivals () =
+    for i = 1 to 100_000 do
+      arrive cum i;
+      arrive sel i;
+      (* Fire the delayed acks, so the next arrival re-arms them. *)
+      Engine.run engine
+    done
+  in
+  arrivals ();
+  let before = Gc.minor_words () in
+  arrivals ();
+  Alcotest.(check (float 0.0)) "100k arrivals per scheme" 0.0 (Gc.minor_words () -. before)
+
 (* ----------------------------------------------------------------- Codec *)
 
 let sample_pdus =
@@ -1374,6 +1550,15 @@ let suite =
         Alcotest.test_case "retransmission and skip timers" `Quick test_recovery_timers;
         Alcotest.test_case "the ack path allocates nothing" `Quick
           test_recovery_ack_path_alloc_free;
+      ] );
+    ( "mech.reporting",
+      [
+        Alcotest.test_case "what the sender counts and keeps" `Quick test_reporting_sender;
+        Alcotest.test_case "what each arrival reports" `Quick test_reporting_arrivals;
+        Alcotest.test_case "timers outlive a segue" `Quick test_reporting_timers;
+        Alcotest.test_case "detection and its cost" `Quick test_reporting_detection;
+        Alcotest.test_case "arrivals allocate nothing" `Quick
+          test_reporting_arrival_alloc_free;
       ] );
     ( "mech.params",
       [
