@@ -17,6 +17,10 @@ let fec_sender = function
   | Params.Forward_error_correction { group } -> Some (Fec.Sender.create ~group)
   | Params.No_recovery | Params.Go_back_n | Params.Selective_repeat -> None
 
+let runnable = function
+  | Params.Forward_error_correction { group } -> group >= 2 && group <= 255
+  | Params.No_recovery | Params.Go_back_n | Params.Selective_repeat -> true
+
 let create scheme =
   { scheme; last_cum = 0; dup_acks = 0; recover = -1; rtx_timer = None; skip_timer = None;
     fec_tx = fec_sender scheme; fec_rx = None }

@@ -31,6 +31,10 @@ open Adaptive_sim
 type t
 (** One endpoint's loss-recovery state. *)
 
+val runnable : Params.recovery -> bool
+(** The scheme can run: an FEC group covers 2 to 255 segments (a parity
+    PDU stores its size in 8 bits). *)
+
 val create : Params.recovery -> t
 (** Fresh state under the given scheme, for a stream starting at 0. *)
 
