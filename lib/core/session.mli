@@ -3,9 +3,10 @@
     A {!t} is one end of a configured transport session: the executable
     object that MANTTS Stage III produces.  It interprets the mechanism
     bindings in its {!Tko.context} over incoming and outgoing PDUs:
-    segmentation, window/rate transmission control, checksum validation,
-    acknowledgment and NACK generation, the retransmissions and parity
-    PDUs its {!Adaptive_mech.Recovery} mechanism asks for, sequencing,
+    segmentation, window/rate transmission control, the discards, acks
+    and NACKs its {!Adaptive_mech.Reporting} mechanism asks for, the
+    retransmissions and parity PDUs its {!Adaptive_mech.Recovery}
+    mechanism asks for, sequencing,
     duplicate suppression, playout-point delivery, the PDUs of
     connection handshakes and graceful release (whose state machine is
     the context's {!Adaptive_mech.Connection} mechanism), and the
