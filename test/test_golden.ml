@@ -66,6 +66,29 @@ trace (dropped log entries: 0):
   open                         1
 |golden}
 
+(* e5's per-second delivery timeline (adaptive vs static session), the
+   one table built from per-second counts of delivered segments. *)
+let e5_delivery_golden =
+  {golden|delivered segments per second:
+  t       adaptive     static
+  0            433        433
+  1            587        587
+  2            536        536
+  3            260        501
+  4            150        448
+  5            154        462
+  6            117        524
+  7            203        524
+  8            526        522
+  9            519         76
+  10           550          0
+  11           880          0
+  12           529          0
+  13           521          0
+  14           304          0
+  15             0          0
+|golden}
+
 let check_golden name golden actual =
   if String.equal golden actual then ()
   else begin
@@ -580,6 +603,24 @@ let steer_swarm_output () =
 let test_steer_swarm () =
   check_golden "steered swarm report" steer_swarm_golden (steer_swarm_output ())
 
+(* The table alone: from its title line up to the blank line after it. *)
+let test_e5_delivery () =
+  let out = Bench_harness.Util.with_captured Bench_harness.Experiments.e5_reconfig in
+  let title = "delivered segments per second:\n" in
+  let find_from i needle =
+    let n = String.length needle in
+    let rec scan j =
+      if j + n > String.length out then Alcotest.failf "%S not in the e5 output" needle
+      else if String.sub out j n = needle then j
+      else scan (j + 1)
+    in
+    scan i
+  in
+  let start = find_from 0 title in
+  let stop = find_from start "\n\n" in
+  check_golden "e5 delivery table" e5_delivery_golden
+    (String.sub out start (stop + 1 - start))
+
 (* The harness gate: main.exe exits 1 when [Util.shape_failures] is
    non-zero, so a failing check must be counted and a passing one, or a
    non-gating timing check, must not. *)
@@ -632,6 +673,7 @@ let suite =
           test_wire_swarm;
         Alcotest.test_case "steered swarm report is pinned" `Quick
           test_steer_swarm;
+        Alcotest.test_case "e5 delivery timeline is pinned" `Quick test_e5_delivery;
         Alcotest.test_case "shape checks count failures" `Quick test_shape_gate;
         Alcotest.test_case "table headers print a single %" `Quick test_percent_headers;
       ] );
