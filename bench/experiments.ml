@@ -321,6 +321,12 @@ let e5_reconfig () =
     let b = Adaptive.add_host stack "b" in
     let hops = Profiles.campus_path () in
     Adaptive.connect_hosts stack a b hops;
+    (* Segments delivered in each simulated second, counted as host b's
+       application receives them. *)
+    let per_second = Array.make 16 0.0 in
+    Mantts.set_app_handler (Mantts.entity stack.Adaptive.mantts b) (fun _ _ ->
+        let s = Adaptive.now stack / Time.sec 1.0 in
+        if s < 16 then per_second.(s) <- per_second.(s) +. 1.0);
     (* Congestion burst from 3 s to 6 s; route moves to satellite at 9 s. *)
     Congestion.phases stack.Adaptive.engine (List.nth hops 1)
       [ (Time.sec 3.0, 0.92); (Time.sec 6.0, 0.05) ];
@@ -385,25 +391,15 @@ let e5_reconfig () =
     let delivered = Util.total stack Unites.Segments_delivered in
     let late = Util.total stack Unites.Late_discards in
     let lost = Util.total stack Unites.Losses_unrecovered in
-    (stack, sent, delivered, late, lost)
+    (stack, per_second, sent, delivered, late, lost)
   in
-  let ad_stack, ad_sent, ad_dlvd, ad_late, ad_lost = run true in
-  let st_stack, st_sent, st_dlvd, st_late, st_lost = run false in
+  let ad_stack, ad_series, ad_sent, ad_dlvd, ad_late, ad_lost = run true in
+  let _, st_series, st_sent, st_dlvd, st_late, st_lost = run false in
   Util.row "timeline: congestion 0.92 at 3 s, clear at 6 s, satellite route at 9 s@.@.";
-  (* Per-second delivery trace from the UNITES series. *)
-  let series stack =
-    Unites.aggregate_series stack.Adaptive.unites Unites.Segments_delivered
-  in
-  let at series t =
-    match List.assoc_opt (Time.sec (float_of_int t)) series with
-    | Some v -> v
-    | None -> 0.0
-  in
-  let ad_series = series ad_stack and st_series = series st_stack in
   Util.row "delivered segments per second:@.";
   Util.row "  %-5s %10s %10s@." "t" "adaptive" "static";
   for t = 0 to 15 do
-    Util.row "  %-5d %10.0f %10.0f@." t (at ad_series t) (at st_series t)
+    Util.row "  %-5d %10.0f %10.0f@." t ad_series.(t) st_series.(t)
   done;
   Util.row "@.";
   Util.row "adaptations applied:@.";

@@ -100,18 +100,19 @@ type t
 (** A metric repository. *)
 
 val create :
-  ?whitebox:bool -> ?bucket:Time.t -> ?reservoir:int ->
-  ?estimator:Stats.estimator -> ?session_cap:int -> Engine.t -> t
+  ?whitebox:bool -> ?reservoir:int -> ?estimator:Stats.estimator -> ?session_cap:int ->
+  Engine.t -> t
 (** [create engine] makes a repository; [whitebox] (default [true])
-    enables whitebox collection.  [bucket] (default 1 s) is the width of
-    the time buckets behind {!aggregate_series} — the TMC "sampling rate".
+    enables whitebox collection.  Each (session, metric) pair holds one
+    accumulator and nothing else: no time series is kept, so a cell's
+    size does not grow with the simulated time it spans.
     [reservoir] (default 8192) bounds each per-session accumulator's
     quantile sample; many-session workloads shrink it so tens of
     thousands of sessions do not cost 64 KiB of reservoir each.
     [estimator] (default {!Stats.Reservoir}) selects the quantile sketch
     for every accumulator: megaswarm-scale runs pass {!Stats.P2} so the
-    repository's memory is ~15 floats per (session, metric) bucket
-    regardless of sample volume.  [session_cap] (default unbounded)
+    repository's memory is one fixed-size accumulator per (session,
+    metric) regardless of sample volume.  [session_cap] (default unbounded)
     bounds the number of real sessions tracked individually: the first
     [session_cap] distinct session ids (deterministic first-contact
     order) keep per-session accumulators, later ones fold into the
@@ -212,9 +213,6 @@ val attach_trace : t -> Trace.t -> unit
 
 val attached_trace : t -> Trace.t option
 (** The sink given to {!attach_trace}, if any. *)
-
-val aggregate_series : t -> metric -> (Time.t * float) list
-(** Bucketed totals across every session. *)
 
 val report : Format.formatter -> t -> unit
 (** Per-session presentation of all collected metrics: a header line,

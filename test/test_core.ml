@@ -306,26 +306,27 @@ let test_unites_first_name_wins () =
   check_bool "first name kept" true (string_contains report "session 9 (first)");
   check_bool "second name ignored" false (string_contains report "second")
 
-let test_unites_series () =
-  let e = Engine.create () in
-  let u = Unites.create ~bucket:(Time.sec 1.0) e in
-  (* Two observations in bucket 0, one in bucket 2. *)
-  Unites.observe u ~session:1 Unites.Bytes_delivered 100.0;
-  Unites.observe u ~session:1 Unites.Bytes_delivered 50.0;
-  ignore (Engine.schedule e ~at:(Time.sec 2.5) (fun () ->
-      Unites.observe u ~session:1 Unites.Bytes_delivered 25.0));
-  Engine.run e;
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "bucketed totals"
-    [ (0, 150.0); (Time.sec 2.0, 25.0) ]
-    (Unites.aggregate_series u Unites.Bytes_delivered);
-  (* Aggregate merges sessions. *)
-  Unites.observe u ~session:2 Unites.Bytes_delivered 5.0;
-  check_bool "aggregate series sums sessions" true
-    (List.assoc (Time.sec 2.0) (Unites.aggregate_series u Unites.Bytes_delivered)
-     = 25.0 +. 5.0);
-  check_bool "no series for unseen metric" true
-    (Unites.aggregate_series u Unites.Rtt = [])
+(* A cell is its accumulator: a repository fed one observation per
+   simulated second holds as many words after 10,000 s as after 10 s.
+   Time only advances between observations, so the engine stays empty. *)
+let test_unites_flat_over_time () =
+  List.iter
+    (fun (name, estimator) ->
+      let e = Engine.create () in
+      let u = Unites.create ~estimator ~reservoir:8 e in
+      let words_at horizon =
+        for s = 1 to horizon do
+          Engine.run e ~until:(Time.sec (float_of_int s));
+          Unites.observe u ~session:1 Unites.Bytes_delivered 100.0;
+          Unites.observe u ~session:1 Unites.Delivery_latency (float_of_int (s mod 7));
+          Unites.count u ~session:Unites.swarm_session Unites.Demux_probes
+        done;
+        Obj.reachable_words (Obj.repr u)
+      in
+      let early = words_at 10 in
+      let late = words_at 10_000 in
+      Alcotest.(check int) (name ^ ": words after 10 s and after 10,000 s") early late)
+    [ ("reservoir", Stats.Reservoir); ("p2", Stats.P2) ]
 
 let test_unites_report_smoke () =
   let e = Engine.create () in
@@ -698,7 +699,8 @@ let suite =
         Alcotest.test_case "aggregate total without merging" `Quick
           test_unites_aggregate_total_no_merge;
         Alcotest.test_case "first name wins" `Quick test_unites_first_name_wins;
-        Alcotest.test_case "bucketed series" `Quick test_unites_series;
+        Alcotest.test_case "memory flat over simulated time" `Quick
+          test_unites_flat_over_time;
         Alcotest.test_case "report smoke" `Quick test_unites_report_smoke;
       ] );
     ( "core.protograph",
