@@ -35,7 +35,7 @@ val to_blob : t -> string
 
 val of_blob : string -> t option
 (** Parse a blob; [None] on malformed input, including values no
-    mechanism can run: a rate that is not finite and positive; a burst,
+    mechanism can run: a rate that is not finite or is below 1 b/s; a burst,
     slow-start window or threshold below 1; an FEC group outside 2-255;
     a segment size outside 1-65535; an initial RTO outside 10 ms-60 s;
     an ack delay or playout target over an hour, or a negative playout

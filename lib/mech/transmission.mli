@@ -25,8 +25,9 @@ val rebind :
 (** Segue to other schemes.  [Invalid_argument] unless {!runnable}. *)
 
 val runnable : Params.transmission -> Params.congestion_window -> bool
-(** The schemes can run: a rate is finite and positive, and a burst, a
-    slow-start window and its threshold are at least 1. *)
+(** The schemes can run: a rate is finite and at least 1 b/s (so the
+    pacer's wait for a 65,535-byte segment stays under a week), and a
+    burst, a slow-start window and its threshold are at least 1. *)
 
 type gate =
   | Send  (** The segment may go now; the pacer is charged for it. *)

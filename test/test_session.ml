@@ -503,7 +503,11 @@ let test_signal_bad_scs () =
         answers := Printf.sprintf "syn accepted=%b" accepted :: !answers
       | _ -> ());
   let send pdu = Network.send f.net ~src:f.a ~dst:f.b ~bytes:(Pdu.wire_bytes pdu) pdu in
+  (* [Scs.to_blob] prints a rate in whole bits per second, so a peer
+     names a rate below 1 b/s only in a blob it writes itself; the first
+     [tx] key of a blob is the one read. *)
   let bad =
+    List.map Scs.to_blob
     [
       { scs with Scs.transmission = Params.Rate_based { rate_bps = 0.0; burst = 4 } };
       { scs with Scs.transmission = Params.Rate_based { rate_bps = Float.nan; burst = 4 } };
@@ -515,9 +519,10 @@ let test_signal_bad_scs () =
       { scs with Scs.delivery = Params.Playout { target = -1 } };
       { scs with Scs.segment_bytes = 70_000 };
     ]
+    @ [ "tx=rate:1e-300:4;" ^ Scs.to_blob scs ]
   in
   List.iter
-    (fun b -> send (Pdu.Signal { conn = Session.id s; blob = "scs!" ^ Scs.to_blob b }))
+    (fun b -> send (Pdu.Signal { conn = Session.id s; blob = "scs!" ^ b }))
     bad;
   Engine.run f.engine ~until:(Time.ms 200);
   Alcotest.(check (list string)) "each signal refused"
@@ -528,7 +533,7 @@ let test_signal_bad_scs () =
   List.iter
     (fun b ->
       let conn = Network.fresh_conn_id f.net in
-      send (Pdu.Syn { conn; blob = "startseq=0;" ^ Scs.to_blob b; first = None }))
+      send (Pdu.Syn { conn; blob = "startseq=0;" ^ b; first = None }))
     bad;
   Engine.run f.engine ~until:(Time.ms 300);
   Alcotest.(check (list string)) "each syn answered"
