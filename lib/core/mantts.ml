@@ -78,7 +78,6 @@ type t = {
      exist: 10k short-lived sessions schedule no monitor events at all,
      and long-lived ones cost one engine event per interval total. *)
   mutable monitor_timer : Engine.Timer.timer option;
-  mutable monitor_armed : bool;
   (* Tick-cost telemetry: shared-tick firings and live monitors walked,
      cumulative since creation.  walked / ticks is the per-tick working
      set — the number the O(active) claim is about. *)
@@ -134,7 +133,6 @@ let create ~net ~unites () =
     adaptation_log = [];
     adaptation_count = 0;
     monitor_timer = None;
-    monitor_armed = false;
     tick_rounds = 0;
     tick_walked = 0;
     admission = None;
@@ -828,15 +826,12 @@ let monitor_tick t mon on_notify () =
    regardless of session count.  The timer is re-armed only while
    monitored sessions remain. *)
 let rec arm_monitor_timer t =
-  if not t.monitor_armed then begin
-    t.monitor_armed <- true;
+  if not (Engine.Timer.pending t.monitor_timer) then
     t.monitor_timer <-
       Engine.Timer.restart t.t_engine t.monitor_timer ~delay:monitor_interval
         shared_monitor_tick t
-  end
 
 and shared_monitor_tick t =
-  t.monitor_armed <- false;
   t.tick_rounds <- t.tick_rounds + 1;
   clear_path_caches t;
   mon_compact t;

@@ -44,7 +44,6 @@ type dispatcher = {
      it is armed only while such entries exist, so an idle dispatcher
      schedules nothing. *)
   mutable tw_timer : Engine.Timer.timer option;
-  mutable tw_armed : bool;
   mutable tw_sweeps : int; (* sweeper firings, cumulative *)
   mutable tw_expired : int; (* time-wait entries expired, cumulative *)
   (* Negotiation memo, both directions: a swarm proposes the same few
@@ -113,15 +112,12 @@ let observe_table disp =
     (Conntable.occupancy disp.conns)
 
 let rec arm_tw_sweeper disp =
-  if not disp.tw_armed then begin
-    disp.tw_armed <- true;
+  if not (Engine.Timer.pending disp.tw_timer) then
     disp.tw_timer <-
       Engine.Timer.restart disp.d_engine disp.tw_timer ~delay:tw_sweep_interval tw_sweep
         disp
-  end
 
 and tw_sweep disp =
-  disp.tw_armed <- false;
   let expired = Conntable.sweep disp.conns ~now:(Engine.now disp.d_engine) in
   disp.tw_sweeps <- disp.tw_sweeps + 1;
   disp.tw_expired <- disp.tw_expired + expired;
@@ -372,7 +368,8 @@ and transmit_next t =
   t.next_seq <- t.next_seq + 1;
   t.first_tx <- t.first_tx + 1;
   let window = t.ctx.Tko.window in
-  Reporting.track (reporting t) window seg ~at:(now t) ~next_seq:t.next_seq;
+  Reporting.track (reporting t) window seg ~at:(now t) ~next_seq:t.next_seq
+    ~recv_buffer:(scs t).Scs.recv_buffer_segments;
   Unites.count (unites t) ~session:t.id Unites.Segments_sent;
   Unites.observe (unites t) ~session:t.id Unites.Window_size
     (float_of_int (Window.in_flight window));
@@ -479,7 +476,8 @@ and send_ack t ~with_sack =
        {
          conn = t.id;
          cum = Reorder.expected reorder;
-         window = Reporting.advertised_window r reorder;
+         window =
+           Reporting.advertised_window reorder ~recv_buffer:(scs t).Scs.recv_buffer_segments;
          sack;
          echo = Reporting.echo r;
        })
@@ -570,7 +568,8 @@ and on_skip_timeout t =
   arm_skip_timer t
 
 and arm_renack t =
-  Reporting.arm_renack (reporting t) (engine t) t.ctx.Tko.reorder on_renack_timeout t
+  Reporting.arm_renack (reporting t) (engine t) t.ctx.Tko.reorder
+    ~initial_rto:(scs t).Scs.initial_rto on_renack_timeout t
 
 and on_renack_timeout t =
   if state t <> Closed then
@@ -592,7 +591,10 @@ and handle_data t ?(tx_stamp = Time.zero) (recv : Pdu.t Network.recv) (seg : Pdu
     let recovered = Recovery.on_data (recovery t) seg in
     let duplicate = offer_to_reorder t seg ~damaged:recv.Network.corrupted in
     offer_recovered t recovered;
-    (match Reporting.on_data r (engine t) reorder ~prior ~duplicate send_delayed_ack t with
+    (match
+       Reporting.on_data r (engine t) reorder ~prior ~duplicate
+         ~initial_rto:(scs t).Scs.initial_rto send_delayed_ack t
+     with
     | Reporting.Quiet -> ()
     | Reporting.Ack -> send_ack t ~with_sack:false
     | Reporting.Ack_sack -> send_ack t ~with_sack:true
@@ -906,7 +908,6 @@ module Dispatcher = struct
         d_on_close = None;
         d_committed = 0;
         tw_timer = None;
-        tw_armed = false;
         tw_sweeps = 0;
         tw_expired = 0;
         d_blobs = Hashtbl.create 16;

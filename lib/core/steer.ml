@@ -52,7 +52,6 @@ type t = {
   mutable len : int;
   mutable dead : int;
   mutable timer : Engine.Timer.timer option;
-  mutable armed : bool;
   mutable n_swaps : int;
   mutable n_blocked : int;
 }
@@ -70,7 +69,6 @@ let create ?(policy = default_policy) mantts =
     len = 0;
     dead = 0;
     timer = None;
-    armed = false;
     n_swaps = 0;
     n_blocked = 0;
   }
@@ -418,13 +416,10 @@ let steer_one t cache ~now watch =
    order, so runs are deterministic and the engine carries one recurring
    event regardless of watch count.  Re-armed only while watches remain. *)
 let rec arm t =
-  if not t.armed then begin
-    t.armed <- true;
+  if not (Engine.Timer.pending t.timer) then
     t.timer <- Engine.Timer.restart t.engine t.timer ~delay:Mantts.monitor_interval tick t
-  end
 
 and tick t =
-  t.armed <- false;
   let now = Engine.now t.engine in
   let cache = Hashtbl.create 8 in
   compact t;

@@ -40,9 +40,7 @@ let synthesize ?(binding = Synthesized) (scs : Scs.t) =
       Transmission.create scs.Scs.transmission scs.Scs.congestion
         ~segment_bytes:scs.Scs.segment_bytes ~peer_window:scs.Scs.recv_buffer_segments;
     recovery = Recovery.create scs.Scs.recovery;
-    reporting =
-      Reporting.create scs.Scs.reporting scs.Scs.detection ~initial_rto:scs.Scs.initial_rto
-        ~recv_buffer:scs.Scs.recv_buffer_segments;
+    reporting = Reporting.create scs.Scs.reporting scs.Scs.detection;
   }
 
 let segue ctx (next : Scs.t) =
@@ -73,8 +71,7 @@ let segue ctx (next : Scs.t) =
             ~duplicates:next.Scs.duplicates ();
       Connection.rebind ctx.connection next.Scs.connection;
       Recovery.rebind ctx.recovery next.Scs.recovery;
-      Reporting.rebind ctx.reporting next.Scs.reporting next.Scs.detection
-        ~initial_rto:next.Scs.initial_rto ~recv_buffer:next.Scs.recv_buffer_segments;
+      Reporting.rebind ctx.reporting next.Scs.reporting next.Scs.detection;
       ctx.scs <- next;
       ctx.segue_count <- ctx.segue_count + 1;
       Ok changed

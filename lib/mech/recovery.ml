@@ -36,12 +36,11 @@ let rebind t scheme =
   | _, _ -> t.fec_tx <- fec_sender scheme);
   t.scheme <- scheme
 
-let active = function Some timer -> Engine.Timer.is_active timer | None -> false
 let cancel = Option.iter Engine.Timer.cancel
 
 let arm_timer t engine ~needed rtt handler x =
   if not needed then cancel t.rtx_timer
-  else if not (active t.rtx_timer) then
+  else if not (Engine.Timer.pending t.rtx_timer) then
     t.rtx_timer <- Engine.Timer.restart engine t.rtx_timer ~delay:(Rtt.rto rtt) handler x
 
 let progress t = cancel t.rtx_timer
@@ -151,7 +150,7 @@ let arm_skip t engine ~ordering reorder playout ~initial_rto handler x =
   if
     ordering = Params.Ordered && (not retransmits)
     && Reorder.has_gap reorder
-    && not (active t.skip_timer)
+    && not (Engine.Timer.pending t.skip_timer)
   then begin
     (* A playout receiver waits two playout delays: by then the segment
        would be discarded as late anyway. *)

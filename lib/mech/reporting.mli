@@ -26,14 +26,12 @@ val runnable : Params.reporting -> bool
 (** The scheme can run: an ack delay is at most an hour (0 or less acks
     at once). *)
 
-val create :
-  Params.reporting -> Params.detection -> initial_rto:Time.t -> recv_buffer:int -> t
-(** Fresh state; [recv_buffer] (segments) bounds the advertised window
-    and the NACK repair history. *)
+val create : Params.reporting -> Params.detection -> t
+(** Fresh state.  The SCS's [initial_rto] and [recv_buffer_segments] are
+    not kept: the calls that need them take them, so a segue cannot
+    leave a stale copy. *)
 
-val rebind :
-  t -> Params.reporting -> Params.detection -> initial_rto:Time.t -> recv_buffer:int ->
-  unit
+val rebind : t -> Params.reporting -> Params.detection -> unit
 (** Segue.  Pending timers keep running: a delayed ack goes out with the
     SACK flag it was armed with, and a pending re-NACK fires once under
     the new scheme.  The echo stamp carries over. *)
@@ -66,22 +64,24 @@ type verdict =
   | Nack of int list  (** At most 32 sequence numbers. *)
 
 val on_data :
-  t -> Engine.t -> Reorder.t -> prior:int list -> duplicate:bool -> ('a -> unit) ->
-  'a -> verdict
+  t -> Engine.t -> Reorder.t -> prior:int list -> duplicate:bool -> initial_rto:Time.t ->
+  ('a -> unit) -> 'a -> verdict
 (** What to send for an arrival just offered to the receiver ([prior]
     from {!gaps_before}).  A delayed ack arms the timer unless it runs,
-    noting the SACK flag, and is [Quiet]. *)
+    noting the SACK flag, and is [Quiet]; a gap-free duplicate's delay is
+    [max 25 ms (initial_rto / 2)]. *)
 
 val delayed_sack : t -> bool
 (** The SACK flag of the delayed ack now due. *)
 
-val advertised_window : t -> Reorder.t -> int
-(** Receive buffer left, in segments. *)
+val advertised_window : Reorder.t -> recv_buffer:int -> int
+(** Receive buffer left, in segments, of [recv_buffer]. *)
 
 val sack_blocks : Reorder.t -> with_sack:bool -> int list
 (** Up to 16 SACK blocks, or none. *)
 
-val arm_renack : t -> Engine.t -> Reorder.t -> ('a -> unit) -> 'a -> unit
+val arm_renack :
+  t -> Engine.t -> Reorder.t -> initial_rto:Time.t -> ('a -> unit) -> 'a -> unit
 (** Under NACK reporting, with a gap open and the re-NACK timer stopped,
     run [handler x] after [initial_rto]. *)
 
@@ -98,7 +98,8 @@ val in_flight : t -> Window.t -> int
 (** What the send window counts: the outstanding segments, or 0 when
     the peer reports nothing. *)
 
-val track : t -> Window.t -> Pdu.seg -> at:Time.t -> next_seq:int -> unit
+val track :
+  t -> Window.t -> Pdu.seg -> at:Time.t -> next_seq:int -> recv_buffer:int -> unit
 (** Note a first transmission in the window unless the peer reports
     nothing.  Under NACK reporting nothing drains it, so it keeps only
     the newest [max 256 (4 * recv_buffer)] below [next_seq]. *)

@@ -500,6 +500,7 @@ module Timer = struct
   }
 
   let is_active timer = timer.engine.seq.(timer.id) = timer.stamp
+  let pending = function Some timer -> is_active timer | None -> false
 
   let arm timer ~at =
     let t = timer.engine in

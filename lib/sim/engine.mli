@@ -136,8 +136,10 @@ module Timer : sig
       and returns the cell to store back.  The closure is built only when
       the timer is created, so a re-arm allocates nothing. *)
 
-  val is_active : timer -> bool
-  (** [true] while the timer still has a pending expiry. *)
+  val pending : timer option -> bool
+  (** [pending cell]: the cell holds a timer that still has a pending
+      expiry — the test a {!restart} cell needs before arming.  Inside
+      the timer's own callback it is [false]. *)
 
   val expirations : timer -> int
   (** Number of times the timer has fired. *)
