@@ -33,6 +33,11 @@ let pp_violation fmt v =
 (* Per-receiving-endpoint delivery-stream state. *)
 type stream = { mutable last_seq : int option; mutable ever_unreliable : bool }
 
+(* A tracked sender and the deliveries made under its label since it was
+   tracked.  Only tracked labels are ever read, so only they are counted:
+   a delivery under any other label costs no string hashing. *)
+type tracked = { label : string; sender : Session.t; mutable count : int }
+
 type t = {
   engine : Engine.t;
   unites : Unites.t;
@@ -41,14 +46,13 @@ type t = {
   liveness_bound : Time.t;
   capacity_bps : float option;
   mutable injector : Fault.injector option;
-  streams : (int, stream) Hashtbl.t;
-  delivered : (string, int ref) Hashtbl.t;  (* per-label delivery counts *)
-  mutable tracked : (string * Session.t) list;  (* insertion order *)
+  streams : stream Inttbl.t;
+  mutable tracked : tracked list;  (* insertion order *)
   (* Last swept total per UNITES cell (one-element arrays: unboxed store);
      an absent cell was never written, so its last total is 0. *)
-  prev_totals : (int, float array) Hashtbl.t;
+  prev_totals : float array Inttbl.t;
   mutable adaptations_seen : int;
-  last_switch : (int, Time.t) Hashtbl.t;
+  last_switch : Time.t Inttbl.t;
   mutable heal_seen : Time.t;
   mutable heal_pending : (Time.t * (string * int) list) list;
   mutable sweep : Engine.Timer.timer option;
@@ -76,12 +80,11 @@ let create ~engine ~unites ?mantts ?trace ?(liveness_bound = Time.sec 10.0)
     liveness_bound;
     capacity_bps;
     injector = None;
-    streams = Hashtbl.create 16;
-    delivered = Hashtbl.create 16;
+    streams = Inttbl.create 16;
     tracked = [];
-    prev_totals = Hashtbl.create 64;
+    prev_totals = Inttbl.create 64;
     adaptations_seen = 0;
-    last_switch = Hashtbl.create 16;
+    last_switch = Inttbl.create 16;
     heal_seen = Time.zero;
     heal_pending = [];
     sweep = None;
@@ -106,20 +109,26 @@ let inject_violation t ~detail =
 let violations t = List.rev t.violations_rev
 
 let bump t label =
-  match Hashtbl.find_opt t.delivered label with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.delivered label (ref 1)
+  let rec go = function
+    | [] -> ()
+    | tr :: rest ->
+      if String.equal tr.label label then tr.count <- tr.count + 1;
+      go rest
+  in
+  go t.tracked
 
 let delivered_count t label =
-  match Hashtbl.find_opt t.delivered label with Some r -> !r | None -> 0
+  match List.find_opt (fun tr -> String.equal tr.label label) t.tracked with
+  | Some tr -> tr.count
+  | None -> 0
 
 let observe t ~label ~key ~ordered ~reliable ~detected ~at:_ ~seq ~damaged =
   let stream =
-    match Hashtbl.find_opt t.streams key with
+    match Inttbl.find_opt t.streams key with
     | Some s -> s
     | None ->
       let s = { last_seq = None; ever_unreliable = false } in
-      Hashtbl.add t.streams key s;
+      Inttbl.replace t.streams key s;
       s
   in
   if not reliable then stream.ever_unreliable <- true;
@@ -161,14 +170,11 @@ let attach_dispatcher t disp =
         scs.Scs.ordering = Params.Ordered
         && scs.Scs.duplicates = Params.Drop_duplicates
       in
-      let label =
-        match
-          List.find_opt (fun (_, tracked) -> Session.id tracked = Session.id s)
-            t.tracked
-        with
-        | Some (label, _) -> label
-        | None -> Session.name s
+      let rec label = function
+        | [] -> Session.name s
+        | tr :: rest -> if Session.id tr.sender = Session.id s then tr.label else label rest
       in
+      let label = label t.tracked in
       let key = (Session.local_addr s * 1_000_000) + Session.id s in
       observe t ~label ~key ~ordered
         ~reliable:(not (Session.ever_loss_tolerant s))
@@ -180,7 +186,8 @@ let attach_dispatcher t disp =
             ~detail:(Printf.sprintf "%s:%d" label d.Session.seq))
         t.trace)
 
-let track_sender t ~label sender = t.tracked <- t.tracked @ [ (label, sender) ]
+let track_sender t ~label sender =
+  t.tracked <- t.tracked @ [ { label; sender; count = 0 } ]
 
 (* ------------------------------------------------------------------ *)
 (* Periodic sweep *)
@@ -191,11 +198,11 @@ let track_sender t ~label sender = t.tracked <- t.tracked @ [ (label, sender) ]
 let check_cell t ~cell ~session m total =
   if session >= 1 then begin
     let prev =
-      match Hashtbl.find t.prev_totals cell with
-      | prev -> prev
-      | exception Not_found ->
+      match Inttbl.find_opt t.prev_totals cell with
+      | Some prev -> prev
+      | None ->
         let prev = [| 0.0 |] in
-        Hashtbl.add t.prev_totals cell prev;
+        Inttbl.replace t.prev_totals cell prev;
         prev
     in
     if total < prev.(0) -. 1e-9 then
@@ -223,7 +230,7 @@ let check_policy t =
             (fun trace ->
               Trace.event trace ~at ~category:"mantts.switch" ~detail:desc)
             t.trace;
-          (match Hashtbl.find_opt t.last_switch session with
+          (match Inttbl.find_opt t.last_switch session with
           | Some prev ->
             let gap = Time.diff at prev in
             (* Same-instant entries are one monitor tick applying several
@@ -237,12 +244,12 @@ let check_policy t =
                      (Time.to_string gap)
                      (Time.to_string Mantts.reconfigure_cooldown))
           | None -> ());
-          Hashtbl.replace t.last_switch session at
+          Inttbl.replace t.last_switch session at
         end)
       fresh
 
 let snapshot_counts t =
-  List.map (fun (label, _) -> (label, delivered_count t label)) t.tracked
+  List.map (fun tr -> (tr.label, delivered_count t tr.label)) t.tracked
 
 (* Liveness: a heal arms a watch holding each sender's delivery count.
    Progress at any later point exonerates the watch — retransmission
@@ -265,7 +272,7 @@ let check_liveness ~final t =
         (fun (h, counts) ->
           if Time.diff now h < t.liveness_bound then not final
           else begin
-            let stalled (label, sender) =
+            let stalled { label; sender; _ } =
               let snap =
                 match List.assoc_opt label counts with Some n -> n | None -> 0
               in
@@ -278,7 +285,7 @@ let check_liveness ~final t =
             if suspects = [] then false
             else if final then begin
               List.iter
-                (fun (label, _) ->
+                (fun { label; _ } ->
                   record t ~label ~kind:Liveness_stall
                     ~detail:
                       (Printf.sprintf
@@ -313,7 +320,7 @@ let check_throughput t =
     let elapsed = Time.to_sec (Engine.now t.engine) in
     if elapsed > 0.0 then
       List.iter
-        (fun (label, sender) ->
+        (fun { label; sender; _ } ->
           let bytes =
             Unites.total t.unites ~session:(Session.id sender)
               Unites.Bytes_delivered

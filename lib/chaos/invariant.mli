@@ -70,7 +70,8 @@ val attach_dispatcher : t -> Session.Dispatcher.dispatcher -> unit
 
 val track_sender : t -> label:string -> Session.t -> unit
 (** Register a sending endpoint for the liveness and throughput oracles;
-    [label] keys its delivery counts and names it in violations. *)
+    [label] keys its delivery counts, which start at registration, and
+    names it in violations. *)
 
 val observe :
   t ->

@@ -108,11 +108,12 @@ let path_signals t cache watch =
   List.fold_left
     (fun acc dst ->
       let hops =
-        match Hashtbl.find_opt cache (src, dst) with
+        let key = Inttbl.pair src dst in
+        match Inttbl.find_opt cache key with
         | Some hops -> hops
         | None ->
           let hops = Network.path_state t.net ~src ~dst in
-          Hashtbl.add cache (src, dst) hops;
+          Inttbl.replace cache key hops;
           hops
       in
       List.fold_left
@@ -421,7 +422,7 @@ let rec arm t =
 
 and tick t =
   let now = Engine.now t.engine in
-  let cache = Hashtbl.create 8 in
+  let cache = Inttbl.create 8 in
   compact t;
   for i = 0 to t.len - 1 do
     match t.arr.(i) with
@@ -475,7 +476,7 @@ let watch t ?(loss_tolerant = false) session =
          applies unchanged. *)
       (if loss_tolerant && (Session.scs session).Scs.recovery = Params.No_recovery
        then
-         let cache = Hashtbl.create 1 in
+         let cache = Inttbl.create 1 in
          let _, ber = path_signals t cache w in
          if predicted_segment_loss w ~ber > t.pol.loss_hi then begin
            w.w_loss_streak <- max 0 (t.pol.debounce - 1);

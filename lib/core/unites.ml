@@ -231,7 +231,7 @@ type t = {
   estimator : Stats.estimator; (* quantile sketch for every accumulator *)
   cells : (int, Stats.t) Hashtbl.t; (* packed (session, metric) key *)
   names : (int, string) Hashtbl.t;
-  tracks : (int, track) Hashtbl.t; (* routed session id *)
+  tracks : track Inttbl.t; (* routed session id *)
   mutable session_cap : int; (* individually tracked real sessions *)
   mutable tracked : int; (* real sessions admitted under the cap *)
   mutable whitebox_count : int;
@@ -289,7 +289,7 @@ let create ?(whitebox = true) ?(reservoir = 8192)
     estimator;
     cells = Hashtbl.create 64;
     names = Hashtbl.create 16;
-    tracks = Hashtbl.create 16;
+    tracks = Inttbl.create 16;
     session_cap = max 1 session_cap;
     tracked = 0;
     whitebox_count = 0;
@@ -310,11 +310,11 @@ let set_session_cap t n =
   t.cached <- false
 
 let track t id =
-  match Hashtbl.find t.tracks id with
-  | tr -> tr
-  | exception Not_found ->
+  match Inttbl.find_opt t.tracks id with
+  | Some tr -> tr
+  | None ->
     let tr = { admitted = false; mask = -1; mis = Bytes.empty; row = [||]; len = 0 } in
-    Hashtbl.add t.tracks id tr;
+    Inttbl.replace t.tracks id tr;
     tr
 
 (* Whether [session] is a real session routed under a cap. *)
@@ -341,9 +341,9 @@ let admit t session =
 let route t session =
   if not (capped t session) then session
   else
-    match Hashtbl.find t.tracks session with
-    | tr when tr.admitted -> session
-    | _ | (exception Not_found) -> admit t session
+    match Inttbl.find_opt t.tracks session with
+    | Some tr when tr.admitted -> session
+    | Some _ | None -> admit t session
 
 let whitebox_enabled t = t.whitebox
 let register_session t ~id ~name =
@@ -370,7 +370,7 @@ let restrict_session t ~id metrics =
       tr.mask <- (if tr.mask = -1 then 0 else tr.mask) lor m
   end
   else if metrics = [] then
-    Option.iter (fun tr -> tr.mask <- -1) (Hashtbl.find_opt t.tracks id)
+    Option.iter (fun tr -> tr.mask <- -1) (Inttbl.find_opt t.tracks id)
   else (track t id).mask <- mask_of metrics
 
 let journal_push t k =
@@ -389,11 +389,11 @@ let journal_push t k =
 let resolve t session =
   t.cached <- true;
   t.c_raw <- session;
-  match Hashtbl.find t.tracks session with
-  | tr when tr.admitted || not (capped t session) ->
+  match Inttbl.find_opt t.tracks session with
+  | Some tr when tr.admitted || not (capped t session) ->
     t.c_id <- session;
     t.c_track <- tr
-  | _ | (exception Not_found) ->
+  | Some _ | None ->
     let id = if capped t session then admit t session else session in
     t.c_id <- id;
     t.c_track <- track t id

@@ -1,3 +1,4 @@
+open Adaptive_sim
 open Adaptive_buf
 
 (* Byte-wise XOR of payloads, padded with zeros to the longest. *)
@@ -52,9 +53,9 @@ module Receiver = struct
   type pending = { covered : Pdu.seg list; parity : Msg.t option }
 
   type t = {
-    seen : (int, unit) Hashtbl.t;
+    seen : unit Inttbl.t;
     groups : (int, pending) Hashtbl.t; (* pending parity, keyed by start *)
-    payloads : (int, string) Hashtbl.t; (* recent payload bytes by seq *)
+    payloads : string Inttbl.t; (* recent payload bytes by seq *)
     order : int Queue.t; (* eviction order for [payloads] *)
     mutable recovered_count : int;
   }
@@ -64,29 +65,29 @@ module Receiver = struct
 
   let create () =
     {
-      seen = Hashtbl.create 64;
+      seen = Inttbl.create 64;
       groups = Hashtbl.create 8;
-      payloads = Hashtbl.create 64;
+      payloads = Inttbl.create 64;
       order = Queue.create ();
       recovered_count = 0;
     }
 
   let note_seen t (seg : Pdu.seg) =
-    if not (Hashtbl.mem t.seen seg.Pdu.seq) then Hashtbl.add t.seen seg.Pdu.seq ();
+    if not (Inttbl.mem t.seen seg.Pdu.seq) then Inttbl.replace t.seen seg.Pdu.seq ();
     match seg.Pdu.payload with
     | None -> ()
     | Some m ->
-      if not (Hashtbl.mem t.payloads seg.Pdu.seq) then begin
+      if not (Inttbl.mem t.payloads seg.Pdu.seq) then begin
         if Queue.length t.order >= cache_cap then begin
           let old = Queue.pop t.order in
-          Hashtbl.remove t.payloads old
+          Inttbl.remove t.payloads old
         end;
-        Hashtbl.add t.payloads seg.Pdu.seq (Msg.data_to_string m);
+        Inttbl.replace t.payloads seg.Pdu.seq (Msg.data_to_string m);
         Queue.push seg.Pdu.seq t.order
       end
 
   let missing_of t covered =
-    List.filter (fun (s : Pdu.seg) -> not (Hashtbl.mem t.seen s.Pdu.seq)) covered
+    List.filter (fun (s : Pdu.seg) -> not (Inttbl.mem t.seen s.Pdu.seq)) covered
 
   (* Reconstruct the missing segment's bytes from the parity block and the
      cached payloads of every other group member, when all are present. *)
@@ -98,7 +99,7 @@ module Receiver = struct
         List.filter (fun (s : Pdu.seg) -> s.Pdu.seq <> missing.Pdu.seq) g.covered
       in
       let cached =
-        List.map (fun (s : Pdu.seg) -> Hashtbl.find_opt t.payloads s.Pdu.seq) others
+        List.map (fun (s : Pdu.seg) -> Inttbl.find_opt t.payloads s.Pdu.seq) others
       in
       if List.exists Option.is_none cached then None
       else

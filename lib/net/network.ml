@@ -47,7 +47,7 @@ type 'm t = {
   engine : Engine.t;
   rng : Rng.t;
   topology : Topology.t;
-  handlers : (addr, 'm recv -> unit) Hashtbl.t;
+  handlers : ('m recv -> unit) Inttbl.t; (* keyed by address *)
   mutable wire : 'm wire option;
   mutable remote : (src:addr -> dst:addr -> bytes:int -> 'm -> unit) option;
   mutable s_sent : int;
@@ -68,7 +68,7 @@ let create engine ~rng topology =
     engine;
     rng;
     topology;
-    handlers = Hashtbl.create 16;
+    handlers = Inttbl.create 16;
     wire = None;
     remote = None;
     s_sent = 0;
@@ -123,7 +123,7 @@ let wire_stats t =
         wire_rejected = w.wh_rejected;
       })
     t.wire
-let attach t addr handler = Hashtbl.replace t.handlers addr handler
+let attach t addr handler = Inttbl.replace t.handlers addr handler
 
 (* Remote delivery: a shard coordinator owns the path between this
    network and its peers, so packets to unrouted destinations are handed
@@ -137,7 +137,7 @@ let set_remote t f =
   t.remote <- Some f
 
 let deliver_remote t ~src ~dst ~bytes ~sent_at payload =
-  match Hashtbl.find_opt t.handlers dst with
+  match Inttbl.find_opt t.handlers dst with
   | None -> ()
   | Some handler ->
     t.s_delivered <- t.s_delivered + 1;
@@ -163,7 +163,30 @@ type outcome =
 
 (* [cache] memoizes per-link verdicts across a multicast fan-out so a
    shared upstream hop is transmitted once; unicast sends pass [None]
-   and skip the association list entirely. *)
+   and skip the association list entirely.  A top-level function rather
+   than a local closure, so a walk allocates no environment per packet. *)
+let rec walk t ~cache ~lframe ~now ~bytes arrival corrupted = function
+  | [] -> Arrives (arrival, corrupted)
+  | link :: rest -> (
+    if bytes > Link.mtu link then Lost_mtu
+    else
+      let verdict =
+        match cache with
+        | None -> Link.transmit link ?frame:lframe ~rng:t.rng ~now ~arrival ~bytes ()
+        | Some cache -> (
+          match List.assq_opt link !cache with
+          | Some v -> v
+          | None ->
+            let v = Link.transmit link ?frame:lframe ~rng:t.rng ~now ~arrival ~bytes () in
+            cache := (link, v) :: !cache;
+            v)
+      in
+      match verdict with
+      | Link.Transmitted { departs; corrupted = c } ->
+        walk t ~cache ~lframe ~now ~bytes departs (corrupted || c) rest
+      | Link.Dropped_queue -> Lost_queue
+      | Link.Dropped_down -> Lost_down)
+
 let traverse t ~cache ~frame ~bytes hops =
   let now = Engine.now t.engine in
   let lframe =
@@ -171,29 +194,7 @@ let traverse t ~cache ~frame ~bytes hops =
     | Some lease -> Some (Pool.lease_buf lease, 0, bytes)
     | None -> None
   in
-  let rec walk arrival corrupted = function
-    | [] -> Arrives (arrival, corrupted)
-    | link :: rest -> (
-      if bytes > Link.mtu link then Lost_mtu
-      else
-        let verdict =
-          match cache with
-          | None -> Link.transmit link ?frame:lframe ~rng:t.rng ~now ~arrival ~bytes ()
-          | Some cache -> (
-            match List.assq_opt link !cache with
-            | Some v -> v
-            | None ->
-              let v = Link.transmit link ?frame:lframe ~rng:t.rng ~now ~arrival ~bytes () in
-              cache := (link, v) :: !cache;
-              v)
-        in
-        match verdict with
-        | Link.Transmitted { departs; corrupted = c } ->
-          walk departs (corrupted || c) rest
-        | Link.Dropped_queue -> Lost_queue
-        | Link.Dropped_down -> Lost_down)
-  in
-  walk now false hops
+  walk t ~cache ~lframe ~now ~bytes now false hops
 
 (* Wire-true delivery: decode this receiver's copy of the frame at
    arrival.  Corruption is applied here rather than inside the link
@@ -226,9 +227,9 @@ let deliver_wire t w ~src ~dst ~bytes ~sent_at ~at ~corrupted lease =
          | None -> w.wh_rejected <- w.wh_rejected + 1
          | Some payload -> (
            w.wh_decoded <- w.wh_decoded + 1;
-           match Hashtbl.find t.handlers dst with
-           | exception Not_found -> ()
-           | handler ->
+           match Inttbl.find_opt t.handlers dst with
+           | None -> ()
+           | Some handler ->
              t.s_delivered <- t.s_delivered + 1;
              handler
                {
@@ -254,9 +255,9 @@ let deliver t ~src ~dst ~bytes ~sent_at ~frame payload outcome =
       deliver_wire t w ~src ~dst ~bytes ~sent_at ~at ~corrupted lease
     | _ ->
       Engine.schedule_anon t.engine ~at (fun () ->
-          match Hashtbl.find t.handlers dst with
-          | exception Not_found -> ()
-          | handler ->
+          match Inttbl.find_opt t.handlers dst with
+          | None -> ()
+          | Some handler ->
             t.s_delivered <- t.s_delivered + 1;
             handler
               {

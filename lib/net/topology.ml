@@ -1,13 +1,15 @@
+open Adaptive_sim
+
 type addr = int
 
 type t = {
   mutable names : string list; (* reversed registration order *)
-  routes : (addr * addr, Link.t list) Hashtbl.t;
+  routes : Link.t list Inttbl.t; (* keyed by [Inttbl.pair src dst] *)
   mutable edits : int; (* route installs and replacements *)
   mutable used : Link.t list; (* every link any route has held *)
 }
 
-let create () = { names = []; routes = Hashtbl.create 16; edits = 0; used = [] }
+let create () = { names = []; routes = Inttbl.create 16; edits = 0; used = [] }
 
 let add_host t name =
   let addr = List.length t.names in
@@ -18,7 +20,7 @@ let set_route t ~src ~dst hops =
   if hops = [] then invalid_arg "Topology.set_route: empty route";
   t.edits <- t.edits + 1;
   List.iter (fun l -> if not (List.memq l t.used) then t.used <- l :: t.used) hops;
-  Hashtbl.replace t.routes (src, dst) hops
+  Inttbl.replace t.routes (Inttbl.pair src dst) hops
 
 (* Links leave [used] only with the topology, so the sum never falls back
    to an earlier value: equal generations mean no edit in between. *)
@@ -36,7 +38,7 @@ let set_symmetric_route t ~a ~b hops =
   set_route t ~src:a ~dst:b hops;
   set_route t ~src:b ~dst:a (List.rev_map mirror_link hops)
 
-let route t ~src ~dst = Hashtbl.find_opt t.routes (src, dst)
+let route t ~src ~dst = Inttbl.find_opt t.routes (Inttbl.pair src dst)
 
 let on_route t ~src ~dst f =
   match route t ~src ~dst with
