@@ -1,11 +1,10 @@
 open Adaptive_sim
-open Adaptive_buf
 open Adaptive_net
 open Adaptive_mech
 
 type entity = {
   e_disp : Session.Dispatcher.dispatcher;
-  e_pool : Pool.t;
+  e_capacity : int; (* receive buffers this host can commit, in segments *)
   mutable e_app : Session.t -> Session.delivery -> unit;
 }
 
@@ -61,8 +60,8 @@ type t = {
   net : Pdu.t Network.t;
   t_engine : Engine.t;
   t_unites : Unites.t;
-  entities : (Network.addr, entity) Hashtbl.t;
-  monitors : (int, monitor) Hashtbl.t; (* keyed by session id *)
+  entities : entity Inttbl.t; (* keyed by address *)
+  monitors : monitor Inttbl.t; (* keyed by session id *)
   (* The shared tick's working set: monitored monitors in insertion
      order.  Session ids are allocated monotonically, so appending keeps
      the array sorted by id — the order the tick has always used — with
@@ -89,8 +88,8 @@ type t = {
      transmission can run between their callbacks — so the first monitor
      pays for the sample and the rest reuse it.  Cleared on tick entry
      AND exit, so out-of-tick callers always sample fresh state. *)
-  path_cache : (int * int, Network.hop_state list) Hashtbl.t;
-  rtt_cache : (int * int, Time.t option) Hashtbl.t;
+  path_cache : Network.hop_state list Inttbl.t; (* [Inttbl.pair src dst] *)
+  rtt_cache : Time.t option Inttbl.t;
   (* Synthesis memo (Stage I+II): everything derive_scs reads — path MTU,
      raw bandwidth, BER, propagation RTT, hop count — is a static link or
      route property, so repeated opens with an identical (source, ACD)
@@ -124,8 +123,8 @@ let create ~net ~unites () =
     net;
     t_engine = Network.engine net;
     t_unites = unites;
-    entities = Hashtbl.create 8;
-    monitors = Hashtbl.create 64;
+    entities = Inttbl.create 8;
+    monitors = Inttbl.create 64;
     mon_arr = Array.make 16 None;
     mon_len = 0;
     mon_dead = 0;
@@ -136,8 +135,8 @@ let create ~net ~unites () =
     tick_rounds = 0;
     tick_walked = 0;
     admission = None;
-    path_cache = Hashtbl.create 16;
-    rtt_cache = Hashtbl.create 16;
+    path_cache = Inttbl.create 16;
+    rtt_cache = Inttbl.create 16;
     derive_cache = Hashtbl.create 64;
     dc_gen = Topology.generation (Network.topology net);
     rules_cache = Hashtbl.create 64;
@@ -191,10 +190,10 @@ let mon_compact t =
    record the moment the endpoint leaves the live set. *)
 let retire_monitor t session =
   let id = Session.id session in
-  match Hashtbl.find_opt t.monitors id with
+  match Inttbl.find_opt t.monitors id with
   | Some mon when mon.m_session == session ->
     mon_mark_dead t mon;
-    Hashtbl.remove t.monitors id
+    Inttbl.remove t.monitors id
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -261,17 +260,18 @@ let count_admission t = function
 let default_accept_scs = { Scs.default with Scs.connection = Params.Implicit }
 
 let add_host ?host ?(buffer_segments = 4096) t ~addr =
+  if buffer_segments < 0 then invalid_arg "Mantts.add_host: negative buffer_segments";
   let host = match host with Some h -> h | None -> Host.create t.t_engine in
   let disp = Session.Dispatcher.create t.net ~addr ~host ~unites:t.t_unites in
   let entity =
     {
       e_disp = disp;
-      e_pool = Pool.create ~buffers:buffer_segments ~size:2048;
+      e_capacity = buffer_segments;
       e_app = (fun _ _ -> ());
     }
   in
   (* The passive-open policy: clamp the proposal's receive buffer to the
-     resources this host can still commit — the pool minus what every live
+     resources this host can still commit — its capacity minus what every live
      session already holds — accept, and let the initiator adopt the
      counter-proposal from the Syn_ack blob.  Closed sessions disappear
      from the dispatcher, so their buffers return automatically
@@ -296,7 +296,7 @@ let add_host ?host ?(buffer_segments = 4096) t ~addr =
           | None -> degrade_scs default_accept_scs)
       in
       let committed = Session.Dispatcher.committed_recv_segments disp in
-      let available = max 4 (Pool.capacity entity.e_pool - committed) in
+      let available = max 4 (entity.e_capacity - committed) in
       let final =
         if proposed.Scs.recv_buffer_segments <= available then proposed
         else { proposed with Scs.recv_buffer_segments = available }
@@ -308,11 +308,11 @@ let add_host ?host ?(buffer_segments = 4096) t ~addr =
           on_deliver = Some (fun session d -> entity.e_app session d);
         });
   Session.Dispatcher.set_on_close disp (fun session -> retire_monitor t session);
-  Hashtbl.replace t.entities addr entity;
+  Inttbl.replace t.entities addr entity;
   entity
 
 let entity t addr =
-  match Hashtbl.find_opt t.entities addr with
+  match Inttbl.find_opt t.entities addr with
   | Some e -> e
   | None -> raise Not_found
 
@@ -582,24 +582,26 @@ let builtin_rules (scs : Scs.t) (qos : Qos.t) =
 (* Condition evaluation and action application *)
 
 let cached_path_state t ~src ~dst =
-  match Hashtbl.find_opt t.path_cache (src, dst) with
+  let key = Inttbl.pair src dst in
+  match Inttbl.find_opt t.path_cache key with
   | Some hops -> hops
   | None ->
     let hops = Network.path_state t.net ~src ~dst in
-    Hashtbl.add t.path_cache (src, dst) hops;
+    Inttbl.replace t.path_cache key hops;
     hops
 
 let cached_rtt_estimate t ~src ~dst =
-  match Hashtbl.find_opt t.rtt_cache (src, dst) with
+  let key = Inttbl.pair src dst in
+  match Inttbl.find_opt t.rtt_cache key with
   | Some r -> r
   | None ->
     let r = Network.rtt_estimate t.net ~src ~dst ~bytes:1024 in
-    Hashtbl.add t.rtt_cache (src, dst) r;
+    Inttbl.replace t.rtt_cache key r;
     r
 
 let clear_path_caches t =
-  Hashtbl.reset t.path_cache;
-  Hashtbl.reset t.rtt_cache
+  Inttbl.reset t.path_cache;
+  Inttbl.reset t.rtt_cache
 
 (* Congestion means cross traffic: a session pacing near the bottleneck's
    capacity must not read its own queueing as a reason to back off. *)
@@ -739,12 +741,12 @@ let align_sync_groups t =
   t.sync_groups <-
     List.filter
       (fun group ->
-        List.exists (fun id -> Hashtbl.mem t.monitors id) group)
+        List.exists (fun id -> Inttbl.mem t.monitors id) group)
       t.sync_groups;
   List.iter
     (fun group ->
       let members =
-        List.filter_map (fun id -> Hashtbl.find_opt t.monitors id) group
+        List.filter_map (fun id -> Inttbl.find_opt t.monitors id) group
       in
       let target_of mon =
         match (Session.scs mon.m_session).Scs.delivery with
@@ -934,7 +936,7 @@ let try_open_session ?name ?on_deliver ?on_notify ?scs_transform t ~src ~acd () 
   in
   (
   mon.m_route <- route_names t ~src session);
-  Hashtbl.replace t.monitors (Session.id session) mon;
+  Inttbl.replace t.monitors (Session.id session) mon;
   if monitored then begin
     mon_append t mon;
     arm_monitor_timer t
@@ -951,7 +953,7 @@ let close_session ?graceful t session =
   Session.close ?graceful session
 
 let renegotiate ?acd t session =
-  match Hashtbl.find_opt t.monitors (Session.id session) with
+  match Inttbl.find_opt t.monitors (Session.id session) with
   | None -> Error "session has no MANTTS monitor (not opened via open_session?)"
   | Some mon ->
     let acd = match acd with Some a -> a | None -> mon.m_acd in
@@ -990,12 +992,12 @@ let adaptations_since t seen =
    with the built-in monitor: both read and advance [m_last_change], so
    the combined switch stream respects one cooldown. *)
 let last_reconfigured t session =
-  match Hashtbl.find_opt t.monitors (Session.id session) with
+  match Inttbl.find_opt t.monitors (Session.id session) with
   | None -> None
   | Some mon -> Some mon.m_last_change
 
 let note_switch t session text =
-  (match Hashtbl.find_opt t.monitors (Session.id session) with
+  (match Inttbl.find_opt t.monitors (Session.id session) with
   | Some mon -> mon.m_last_change <- Engine.now t.t_engine
   | None -> ());
   log_adaptation t session text

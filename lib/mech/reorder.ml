@@ -21,7 +21,7 @@ let create ?(start = 0) ~ordering ~duplicates () =
     ordering;
     duplicates;
     expected = start;
-    ring = Array.make 16 None;
+    ring = Array.make 2 None;
     highest = start - 1;
     stored = 0;
   }

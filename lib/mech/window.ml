@@ -26,7 +26,7 @@ type t = {
 }
 
 let create () =
-  { ring = Array.make 16 None; low = 0; high = 0; count = 0; bytes = 0 }
+  { ring = Array.make 2 None; low = 0; high = 0; count = 0; bytes = 0 }
 
 let in_flight t = t.count
 let bytes_in_flight t = t.bytes

@@ -36,6 +36,7 @@ let allowlist =
     ("Msg.header_length", [ "test/test_buf.ml" ], observer);
     ("Playout.discarded", [ "test/test_mech.ml" ], observer);
     ("Playout.released", [ "test/test_mech.ml" ], observer);
+    ("Pool.capacity", [ "test/test_buf.ml" ], observer);
     ("Pool.in_use", [ "test/test_buf.ml" ], observer);
     ("Pool.misses", [ "test/test_buf.ml" ], observer);
     ("Protograph.add_layer", [ "test/test_core.ml" ], "paper mechanism: graph edit, §4.2.1");
