@@ -107,10 +107,13 @@ let of_blob blob =
     | Params.As_available -> true
   in
   (* The initial RTO paces re-NACKs and gap skips unclamped, so it must
-     lie in the range [Rtt] clamps every RTO to. *)
+     lie in the range [Rtt] clamps every RTO to.  A receive buffer below
+     one segment would enter the acceptor's running commitment and widen
+     what later proposals are granted. *)
   if
     Transmission.runnable tx cc && Recovery.runnable rec_ && Reporting.runnable rep
     && seg >= 1 && seg <= 0xFFFF
+    && buf >= 1
     && rto >= Time.ms 10 && rto <= Time.sec 60.0
     && playout_ok
   then Some t

@@ -37,7 +37,8 @@ val of_blob : string -> t option
 (** Parse a blob; [None] on malformed input, including values no
     mechanism can run: a rate that is not finite or is below 1 b/s; a burst,
     slow-start window or threshold below 1; an FEC group outside 2-255;
-    a segment size outside 1-65535; an initial RTO outside 10 ms-60 s;
+    a segment size outside 1-65535; a receive buffer below 1 segment;
+    an initial RTO outside 10 ms-60 s;
     an ack delay or playout target over an hour, or a negative playout
     target. *)
 

@@ -488,49 +488,51 @@ and send_nack t missing =
   Unites.count (unites t) ~session:t.id Unites.Nacks_sent;
   inject t (Pdu.Nack { conn = t.id; missing })
 
-and deliver_segment t (seg : Pdu.seg) ~damaged =
-  let release arrival_point =
-    t.delivered_segments <- t.delivered_segments + 1;
-    t.delivered_bytes <- t.delivered_bytes + seg.Pdu.seg_bytes;
-    Unites.count (unites t) ~session:t.id Unites.Segments_delivered;
-    Unites.observe (unites t) ~session:t.id Unites.Bytes_delivered
-      (float_of_int seg.Pdu.seg_bytes);
-    let latency = Time.diff arrival_point seg.Pdu.app_stamp in
-    Unites.observe (unites t) ~session:t.id Unites.Delivery_latency
-      (Time.to_sec latency);
-    (match t.last_latency with
-    | Some prev ->
-      Unites.observe (unites t) ~session:t.id Unites.Jitter
-        (Float.abs (Time.to_sec (Time.diff latency prev)))
-    | None -> ());
-    t.last_latency <- Some latency;
-    if damaged then Unites.count (unites t) ~session:t.id Unites.Corrupt_delivered;
-    (* Undetected corruption of a real payload damages the bytes the
-       application sees — the sender's copy is left untouched. *)
-    let payload =
-      match (seg.Pdu.payload, damaged) with
-      | Some m, true when Adaptive_buf.Msg.data_length m > 0 ->
-        let b = Bytes.of_string (Adaptive_buf.Msg.data_to_string m) in
-        let i = seg.Pdu.seq mod Bytes.length b in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
-        Some (Adaptive_buf.Msg.of_bytes b)
-      | p, _ -> p
-    in
-    let d =
-      {
-        seq = seg.Pdu.seq;
-        bytes = seg.Pdu.seg_bytes;
-        app_stamp = seg.Pdu.app_stamp;
-        delivered_at = arrival_point;
-        damaged;
-        payload;
-      }
-    in
-    (match t.disp.d_tap with Some tap -> tap t d | None -> ());
-    t.on_deliver t d
+(* A function of its own rather than a closure inside [deliver_segment]:
+   a delivery with no playout buffer then allocates no environment. *)
+and release_segment t (seg : Pdu.seg) ~damaged arrival_point =
+  t.delivered_segments <- t.delivered_segments + 1;
+  t.delivered_bytes <- t.delivered_bytes + seg.Pdu.seg_bytes;
+  Unites.count (unites t) ~session:t.id Unites.Segments_delivered;
+  Unites.observe (unites t) ~session:t.id Unites.Bytes_delivered
+    (float_of_int seg.Pdu.seg_bytes);
+  let latency = Time.diff arrival_point seg.Pdu.app_stamp in
+  Unites.observe (unites t) ~session:t.id Unites.Delivery_latency
+    (Time.to_sec latency);
+  (match t.last_latency with
+  | Some prev ->
+    Unites.observe (unites t) ~session:t.id Unites.Jitter
+      (Float.abs (Time.to_sec (Time.diff latency prev)))
+  | None -> ());
+  t.last_latency <- Some latency;
+  if damaged then Unites.count (unites t) ~session:t.id Unites.Corrupt_delivered;
+  (* Undetected corruption of a real payload damages the bytes the
+     application sees — the sender's copy is left untouched. *)
+  let payload =
+    match (seg.Pdu.payload, damaged) with
+    | Some m, true when Adaptive_buf.Msg.data_length m > 0 ->
+      let b = Bytes.of_string (Adaptive_buf.Msg.data_to_string m) in
+      let i = seg.Pdu.seq mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+      Some (Adaptive_buf.Msg.of_bytes b)
+    | p, _ -> p
   in
+  let d =
+    {
+      seq = seg.Pdu.seq;
+      bytes = seg.Pdu.seg_bytes;
+      app_stamp = seg.Pdu.app_stamp;
+      delivered_at = arrival_point;
+      damaged;
+      payload;
+    }
+  in
+  (match t.disp.d_tap with Some tap -> tap t d | None -> ());
+  t.on_deliver t d
+
+and deliver_segment t (seg : Pdu.seg) ~damaged =
   match t.ctx.Tko.playout with
-  | None -> release (now t)
+  | None -> release_segment t seg ~damaged (now t)
   | Some playout -> (
     match Playout.offer playout ~app_stamp:seg.Pdu.app_stamp ~arrival:(now t) with
     | Playout.Release_at at ->
@@ -538,21 +540,28 @@ and deliver_segment t (seg : Pdu.seg) ~damaged =
          scheduling order, so releases reach the application in offer
          order even when release points collide. *)
       let at = Time.max at (now t) in
-      Engine.schedule_anon (engine t) ~at (fun () -> release at)
+      Engine.schedule_anon (engine t) ~at (fun () -> release_segment t seg ~damaged at)
     | Playout.Late _ -> Unites.count (unites t) ~session:t.id Unites.Late_discards)
 
 (* Returns [true] when the segment was a duplicate. *)
 and offer_to_reorder t (seg : Pdu.seg) ~damaged =
   match Reorder.offer t.ctx.Tko.reorder seg with
   | Reorder.Deliver segs ->
-    List.iter
-      (fun s -> deliver_segment t s ~damaged:(damaged && s.Pdu.seq = seg.Pdu.seq))
-      segs;
+    deliver_run t segs ~damaged ~seq:seg.Pdu.seq;
     false
   | Reorder.Buffered -> false
   | Reorder.Duplicate ->
     Unites.count (unites t) ~session:t.id Unites.Dup_segments;
     true
+
+(* Only the arriving segment [seq] can be damaged; the rest of the run
+   waited in the reorder buffer.  A loop, so no closure per arrival. *)
+and deliver_run t segs ~damaged ~seq =
+  match segs with
+  | [] -> ()
+  | s :: rest ->
+    deliver_segment t s ~damaged:(damaged && s.Pdu.seq = seq);
+    deliver_run t rest ~damaged ~seq
 
 and arm_skip_timer t =
   Recovery.arm_skip (recovery t) (engine t) ~ordering:(scs t).Scs.ordering

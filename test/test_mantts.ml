@@ -210,6 +210,44 @@ let test_pool_commitment_and_release () =
   Mantts.close_session stack.Adaptive.mantts s3;
   Adaptive.run stack ~until:(Time.add (Adaptive.now stack) (Time.sec 10.0))
 
+(* A Syn's proposal is untrusted.  One asking for a negative receive
+   buffer must not enter the responder's running commitment: there it
+   would widen what every later proposal is granted. *)
+let test_hostile_syn_keeps_clamp () =
+  let stack, a, b = stack_with (Profiles.bisdn_path ()) in
+  let net = stack.Adaptive.net in
+  let hostile = { Scs.default with Scs.recv_buffer_segments = -1_000_000 } in
+  let syn =
+    Pdu.Syn
+      { conn = Network.fresh_conn_id net; blob = "startseq=0;" ^ Scs.to_blob hostile; first = None }
+  in
+  Network.send net ~src:a ~dst:b ~bytes:(Pdu.wire_bytes syn) syn;
+  Adaptive.run stack ~until:(Time.ms 100);
+  let disp = Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts b) in
+  check_bool "commitment stays non-negative" true
+    (Session.Dispatcher.committed_recv_segments disp >= 0);
+  let greedy scs = { scs with Scs.recv_buffer_segments = 500_000 } in
+  let s =
+    Mantts.open_session ~scs_transform:greedy stack.Adaptive.mantts ~src:a
+      ~acd:(acd_for Qos.default b) ()
+  in
+  Adaptive.run stack ~until:(Time.sec 2.0);
+  check_bool "established" true (Session.state s = Session.Established);
+  check_bool "granted within the 4,096-segment capacity" true
+    ((Session.scs s).Scs.recv_buffer_segments <= 4096)
+
+(* A host's receive capacity is a number, not memory: the stack's heap
+   is the same whatever [buffer_segments] says. *)
+let test_capacity_costs_no_heap () =
+  let words buffer_segments =
+    let stack = Adaptive.create_stack ~seed:1 () in
+    let a = Adaptive.add_host ~buffer_segments stack "a" in
+    let b = Adaptive.add_host ~buffer_segments stack "b" in
+    Adaptive.connect_hosts stack a b (Profiles.bisdn_path ());
+    Obj.reachable_words (Obj.repr stack)
+  in
+  check_int "words at 4,096 and at 65,536 segments" (words 4096) (words 65536)
+
 (* ----------------------------------------------------------- adaptation *)
 
 let congestion_scenario () =
@@ -502,6 +540,9 @@ let suite =
         Alcotest.test_case "buffer clamped to pool" `Quick test_negotiation_clamps_to_pool;
         Alcotest.test_case "pool commitment and release" `Quick
           test_pool_commitment_and_release;
+        Alcotest.test_case "a hostile syn leaves the clamp intact" `Quick
+          test_hostile_syn_keeps_clamp;
+        Alcotest.test_case "capacity costs no heap" `Quick test_capacity_costs_no_heap;
       ] );
     ( "mantts.adaptation",
       [

@@ -449,6 +449,60 @@ let test_send_after_close_rejected () =
     (Invalid_argument "Session.send: session is closing or closed") (fun () ->
       Session.send s ~bytes:10 ())
 
+(* ------------------------------------------------------------ hot path *)
+
+(* Minor words one unicast data PDU costs in value mode over a one-hop
+   path, from [Session.send] to delivery: the sender queues, segments and
+   paces it, the network routes it and schedules its arrival, and the
+   receiver demultiplexes, sequences and delivers it.  The receiver never
+   reports and nothing is lost, so every word is the data path's.  The
+   ceiling is the measured cost: a change that adds a word per PDU fails
+   here. *)
+let test_words_per_data_pdu () =
+  let engine = Engine.create () in
+  let topo = Topology.create () in
+  let a = Topology.add_host topo "a" in
+  let b = Topology.add_host topo "b" in
+  Topology.set_symmetric_route topo ~a ~b (lan ());
+  let net = Network.create engine ~rng:(Rng.create 1) topo in
+  let unites = Unites.create engine in
+  let disp addr = Session.Dispatcher.create net ~addr ~host:(Host.zero_cost engine) ~unites in
+  let disp_a = disp a and disp_b = disp b in
+  let delivered = ref 0 in
+  Session.Dispatcher.set_acceptor disp_b (fun ~src:_ ~conn:_ ~proposal ->
+      Session.Dispatcher.Accept
+        {
+          scs = Option.value proposal ~default:Scs.default;
+          name = "sink";
+          on_deliver = Some (fun _ _ -> incr delivered);
+        });
+  let scs =
+    {
+      Scs.default with
+      Scs.connection = Params.Implicit;
+      transmission = Params.Rate_based { rate_bps = 8e6; burst = 4 };
+      reporting = Params.No_report;
+      recovery = Params.No_recovery;
+      segment_bytes = 1000;
+    }
+  in
+  let s = Session.connect disp_a ~peers:[ b ] ~scs () in
+  let burst n =
+    for _ = 1 to n do
+      Session.send s ~bytes:1000 ()
+    done;
+    Engine.run engine
+  in
+  (* The first burst opens the session and grows its rings and tables. *)
+  burst 1000;
+  let before = Gc.minor_words () in
+  burst 1000;
+  let per_pdu = (Gc.minor_words () -. before) /. 1000.0 in
+  check_int "every PDU delivered" 2000 !delivered;
+  let ceiling = 137.0 in
+  if per_pdu > ceiling then
+    Alcotest.failf "%.2f minor words per data PDU, ceiling %.2f" per_pdu ceiling
+
 (* ------------------------------------------------------------ signaling *)
 
 (* [reconfigure] carries the new configuration to the peer over the
@@ -518,6 +572,7 @@ let test_signal_bad_scs () =
       { scs with Scs.reporting = Params.Nack_on_gap; initial_rto = -5 };
       { scs with Scs.delivery = Params.Playout { target = -1 } };
       { scs with Scs.segment_bytes = 70_000 };
+      { scs with Scs.recv_buffer_segments = -1_000_000 };
     ]
     @ [ "tx=rate:1e-300:4;" ^ Scs.to_blob scs ]
   in
@@ -1017,6 +1072,8 @@ let suite =
         Alcotest.test_case "send after close rejected" `Quick
           test_send_after_close_rejected;
       ] );
+    ( "session.hot_path",
+      [ Alcotest.test_case "words per unicast data PDU" `Quick test_words_per_data_pdu ] );
     ( "session.signaling",
       [
         Alcotest.test_case "signal round trip" `Quick test_signal_round_trip;
