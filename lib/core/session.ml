@@ -260,7 +260,7 @@ let charge t ~bytes ~extra =
   let host = t.disp.d_host in
   let before = Host.total_busy host in
   let extra = Time.add (Reporting.verify_cost (reporting t) ~bytes) extra in
-  let done_at = Host.process host ~bytes ~extra ~expedited:(expedited t) () in
+  let done_at = Host.process host ~bytes ~extra ~expedited:(expedited t) in
   Unites.observe (unites t) ~session:t.id Unites.Host_cpu
     (Time.to_sec (Time.diff (Host.total_busy host) before));
   done_at
@@ -286,7 +286,7 @@ let inject t pdu = inject_to t t.peers pdu
    encoding. *)
 let dispatcher_reply disp (recv : Pdu.t Network.recv) pdu =
   let bytes = Pdu.wire_bytes pdu in
-  let done_at = Host.process disp.d_host ~bytes () in
+  let done_at = Host.process disp.d_host ~bytes ~extra:Time.zero ~expedited:false in
   Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
       Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes pdu)
 
@@ -930,7 +930,7 @@ module Dispatcher = struct
         let done_at =
           match Conntable.find_live disp.conns (Pdu.conn_id recv.Network.payload) with
           | Some ep -> charge ep ~bytes ~extra:Time.zero
-          | None -> Host.process host ~bytes ()
+          | None -> Host.process host ~bytes ~extra:Time.zero ~expedited:false
         in
         Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
             handle_pdu disp recv));

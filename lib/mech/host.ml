@@ -31,7 +31,7 @@ let create ?(per_packet = Time.us 100) ?(per_byte_copy = Time.ns 25) ?(copies = 
 
 let zero_cost engine = create ~per_packet:Time.zero ~per_byte_copy:Time.zero ~copies:0 engine
 
-let process t ~bytes ?(extra = Time.zero) ?(expedited = false) () =
+let process t ~bytes ~extra ~expedited =
   let now = Engine.now t.engine in
   let nominal =
     Time.add t.per_packet

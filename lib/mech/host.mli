@@ -36,9 +36,11 @@ val zero_cost : Engine.t -> t
 (** An infinitely fast host: packets pass through for free (isolates
     network behaviour in experiments that do not study host overhead). *)
 
-val process : t -> bytes:int -> ?extra:Time.t -> ?expedited:bool -> unit -> Time.t
+val process : t -> bytes:int -> extra:Time.t -> expedited:bool -> Time.t
 (** Occupy the CPU for one packet of [bytes] bytes (plus [extra] work,
     e.g. checksum computation); returns the completion time, [>= now].
+    Every argument is required: it runs once per PDU at each end, and an
+    optional argument would cost a block per call.
     Bulk work (the default) is serialized behind everything already
     queued.  [expedited] work models priority scheduling: it queues only
     behind other expedited work, jumping the bulk backlog (a preemption

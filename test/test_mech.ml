@@ -640,13 +640,16 @@ let test_playout_boundary () =
 
 (* ------------------------------------------------------------------ Host *)
 
+(* One bulk packet with no extra work. *)
+let bulk h ~bytes = Host.process h ~bytes ~extra:Time.zero ~expedited:false
+
 let test_host_costs () =
   let e = Engine.create () in
   let h = Host.create ~per_packet:(Time.us 100) ~per_byte_copy:(Time.ns 10) ~copies:2 e in
   (* 1000 bytes, 2 copies at 10ns = 20 us + 100 us fixed = 120 us. *)
-  check_int "first completes" (Time.us 120) (Host.process h ~bytes:1000 ());
+  check_int "first completes" (Time.us 120) (bulk h ~bytes:1000);
   (* Second packet queues behind the first. *)
-  check_int "second queues" (Time.us 240) (Host.process h ~bytes:1000 ());
+  check_int "second queues" (Time.us 240) (bulk h ~bytes:1000);
   check_int "packets" 2 (Host.packets h);
   check_int "accumulated" (Time.us 240) (Host.total_busy h)
 
@@ -654,25 +657,25 @@ let test_host_extra_and_copies () =
   let e = Engine.create () in
   let h = Host.create ~per_packet:Time.zero ~per_byte_copy:(Time.ns 10) ~copies:1 e in
   check_int "extra charged" (Time.us 20)
-    (Host.process h ~bytes:1000 ~extra:(Time.us 10) ());
+    (Host.process h ~bytes:1000 ~extra:(Time.us 10) ~expedited:false);
   let h3 = Host.create ~per_packet:Time.zero ~per_byte_copy:(Time.ns 10) ~copies:3 e in
-  check_int "triple copy cost" (Time.us 30) (Host.process h3 ~bytes:1000 ())
+  check_int "triple copy cost" (Time.us 30) (bulk h3 ~bytes:1000)
 
 let test_host_zero_cost () =
   let e = Engine.create () in
   let h = Host.zero_cost e in
-  check_int "free" 0 (Host.process h ~bytes:1_000_000 ());
-  check_int "still free" 0 (Host.process h ~bytes:1_000_000 ())
+  check_int "free" 0 (bulk h ~bytes:1_000_000);
+  check_int "still free" 0 (bulk h ~bytes:1_000_000)
 
 let test_host_idle_gap () =
   let e = Engine.create () in
   let h = Host.create ~per_packet:(Time.us 10) ~per_byte_copy:Time.zero ~copies:0 e in
-  ignore (Host.process h ~bytes:1 ());
+  ignore (bulk h ~bytes:1);
   (* Advance simulated time past the busy period. *)
   ignore (Engine.schedule e ~at:(Time.ms 1) (fun () -> ()));
   Engine.run e;
   check_int "starts at now when idle" (Time.ms 1 + Time.us 10)
-    (Host.process h ~bytes:1 ())
+    (bulk h ~bytes:1)
 
 (* ------------------------------------------------------------ Connection *)
 

@@ -499,7 +499,7 @@ let test_words_per_data_pdu () =
   burst 1000;
   let per_pdu = (Gc.minor_words () -. before) /. 1000.0 in
   check_int "every PDU delivered" 2000 !delivered;
-  let ceiling = 137.0 in
+  let ceiling = 129.0 in
   if per_pdu > ceiling then
     Alcotest.failf "%.2f minor words per data PDU, ceiling %.2f" per_pdu ceiling
 
