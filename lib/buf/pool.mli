@@ -1,9 +1,10 @@
 (** Fixed-size buffer pool.
 
-    MANTTS negotiates buffer space per session; the pool models that
-    resource.  Allocation failures are how "insufficient buffer space"
-    conditions reach the reconfiguration policies (§4.1.2).  Buffers are
-    taken and returned only through {!lease} and {!release}. *)
+    The wire-true data path serializes each PDU into a pooled frame and
+    returns the frame at its last delivery.  Buffers are taken and
+    returned only through {!lease} and {!release}.  MANTTS does not use a
+    pool: the receive buffer it negotiates per session is a segment count
+    checked against the host's capacity, which needs no memory. *)
 
 type t
 (** A pool of equally sized buffers. *)

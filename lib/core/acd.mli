@@ -41,7 +41,10 @@ type tsa_rule = { condition : condition; action : action; once : bool }
 
 type tmc = {
   collect : Unites.metric list;  (** Metrics to record for this session. *)
-  sample_every : Time.t;  (** Sampling period for rate-like metrics. *)
+  sample_every : Time.t;
+      (** Sampling period for rate-like metrics.  Descriptive only: the
+          Table 2 field is carried, but nothing reads it, and UNITES
+          records every observation of a collected metric. *)
 }
 (** Transport Measurement Component. *)
 

@@ -12,9 +12,11 @@
     - {b Stage III} — TKO synthesis: template-cache lookup, then
       {!Session.connect} instantiates the executable configuration.
 
-    Each host runs a MANTTS {e entity} owning its buffer pool and the
-    passive-open policy (negotiation clamps a proposal's receive buffer to
-    local resources and counter-proposes).  During data transfer a
+    Each host runs a MANTTS {e entity} holding its receive-buffer capacity
+    (a segment count, not memory) and the passive-open policy
+    (negotiation clamps a proposal's receive buffer to what that capacity
+    has left after every live session's commitment, and
+    counter-proposes).  During data transfer a
     per-session monitor samples the network and the session's own metrics
     and evaluates TSA rules — the application's ⟨condition, action⟩ pairs
     plus built-in class policies (§3(C)'s go-back-n ↔ selective-repeat
@@ -40,9 +42,11 @@ val unites : t -> Unites.t
 
 val add_host :
   ?host:Host.t -> ?buffer_segments:int -> t -> addr:Network.addr -> entity
-(** Register a host: creates its dispatcher, buffer pool
-    ([buffer_segments], default 4096) and negotiation acceptor.  [host]
-    defaults to a host CPU with 1992-class costs. *)
+(** Register a host: creates its dispatcher and negotiation acceptor,
+    with a receive-buffer capacity of [buffer_segments] segments (default
+    4096) for the acceptor to commit.  [host] defaults to a host CPU with
+    1992-class costs.  Raises [Invalid_argument] on a negative
+    [buffer_segments]. *)
 
 val entity : t -> Network.addr -> entity
 (** The entity at an address.  Raises [Not_found] if absent. *)

@@ -7,7 +7,9 @@
     {!set_route}. *)
 
 type addr = int
-(** A host address. *)
+(** A host address: {!add_host} numbers hosts from 0.  Routes are keyed
+    by [Inttbl.pair], so {!set_route} and {!route} raise
+    [Invalid_argument] on an address outside [\[0, 2{^31})]. *)
 
 type t
 (** A topology instance. *)
