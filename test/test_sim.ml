@@ -729,6 +729,68 @@ let test_trace_hash () =
   check_bool "different stream, different hash" true (Trace.hash a <> Trace.hash c);
   check_bool "nonzero offset basis" true (Trace.hash (Trace.create ()) <> 0L)
 
+(* ---------------------------------------------------------------- Inttbl *)
+
+(* Random replace/remove/find sequences agree with a Hashtbl reference.
+   Keys come from a small pool so runs collide, grow the table and remove
+   from the middle of probe runs; negative keys and packed pairs, which
+   differ only in their high bits, are in the pool. *)
+let prop_inttbl_matches_hashtbl =
+  let pool =
+    Array.concat
+      [
+        Array.init 24 Fun.id;
+        Array.init 8 (fun i -> -1 - i);
+        Array.init 16 (fun i -> Inttbl.pair (i mod 4) (i / 4));
+        [| max_int; min_int + 1 |];
+      ]
+  in
+  let op =
+    QCheck2.Gen.(
+      pair (int_bound 2) (pair (int_bound (Array.length pool - 1)) (int_bound 1000)))
+  in
+  QCheck2.Test.make ~name:"inttbl agrees with a Hashtbl reference" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 400) op)
+    (fun ops ->
+      let t = Inttbl.create 1 and r = Hashtbl.create 16 in
+      List.for_all
+        (fun (kind, (ki, v)) ->
+          let k = pool.(ki) in
+          (match kind with
+          | 0 ->
+            Inttbl.replace t k v;
+            Hashtbl.replace r k v
+          | 1 ->
+            Inttbl.remove t k;
+            Hashtbl.remove r k
+          | _ -> ());
+          Array.for_all
+            (fun k ->
+              Inttbl.find_opt t k = Hashtbl.find_opt r k
+              && Inttbl.mem t k = Hashtbl.mem r k)
+            pool)
+        ops)
+
+let test_inttbl_edges () =
+  let t = Inttbl.create 4 in
+  Alcotest.check_raises "min_int is not a key"
+    (Invalid_argument "Inttbl.replace: min_int is not a key") (fun () ->
+      Inttbl.replace t min_int 0);
+  check_bool "min_int is never bound" false (Inttbl.mem t min_int);
+  Inttbl.replace t 3 1;
+  Inttbl.reset t;
+  check_bool "reset drops bindings" true (Inttbl.find_opt t 3 = None);
+  check_bool "pairs are ordered" true (Inttbl.pair 1 2 <> Inttbl.pair 2 1);
+  Alcotest.check_raises "pair range"
+    (Invalid_argument "Inttbl.pair: component outside [0, 2^31)") (fun () ->
+      ignore (Inttbl.pair (-1) 0));
+  Inttbl.replace t 7 2;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Inttbl.find_opt t 7))
+  done;
+  Alcotest.(check (float 0.0)) "lookups allocate nothing" 0.0 (Gc.minor_words () -. before)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -792,6 +854,9 @@ let suite =
           test_engine_alloc_free;
       ]
       @ qsuite [ prop_engine_backend_equivalence ] );
+    ( "sim.inttbl",
+      [ Alcotest.test_case "edges" `Quick test_inttbl_edges ]
+      @ qsuite [ prop_inttbl_matches_hashtbl ] );
     ( "sim.trace",
       [
         Alcotest.test_case "counters" `Quick test_trace_counters;
