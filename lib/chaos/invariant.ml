@@ -117,11 +117,6 @@ let bump t label =
   in
   go t.tracked
 
-let delivered_count t label =
-  match List.find_opt (fun tr -> String.equal tr.label label) t.tracked with
-  | Some tr -> tr.count
-  | None -> 0
-
 let observe t ~label ~key ~ordered ~reliable ~detected ~at:_ ~seq ~damaged =
   let stream =
     match Inttbl.find_opt t.streams key with
@@ -170,11 +165,11 @@ let attach_dispatcher t disp =
         scs.Scs.ordering = Params.Ordered
         && scs.Scs.duplicates = Params.Drop_duplicates
       in
-      let rec label = function
+      let rec label_of = function
         | [] -> Session.name s
-        | tr :: rest -> if Session.id tr.sender = Session.id s then tr.label else label rest
+        | tr :: rest -> if Session.id tr.sender = Session.id s then tr.label else label_of rest
       in
-      let label = label t.tracked in
+      let label = label_of t.tracked in
       let key = (Session.local_addr s * 1_000_000) + Session.id s in
       observe t ~label ~key ~ordered
         ~reliable:(not (Session.ever_loss_tolerant s))
@@ -249,7 +244,7 @@ let check_policy t =
       fresh
 
 let snapshot_counts t =
-  List.map (fun tr -> (tr.label, delivered_count t tr.label)) t.tracked
+  List.map (fun tr -> (tr.label, tr.count)) t.tracked
 
 (* Liveness: a heal arms a watch holding each sender's delivery count.
    Progress at any later point exonerates the watch — retransmission
@@ -272,11 +267,11 @@ let check_liveness ~final t =
         (fun (h, counts) ->
           if Time.diff now h < t.liveness_bound then not final
           else begin
-            let stalled { label; sender; _ } =
+            let stalled { label; sender; count } =
               let snap =
                 match List.assoc_opt label counts with Some n -> n | None -> 0
               in
-              delivered_count t label <= snap
+              count <= snap
               && (not (Session.send_queue_empty sender))
               && Session.state sender = Session.Established
               && Fault.active inj = 0
