@@ -167,7 +167,8 @@ let attach_dispatcher t disp =
       in
       let rec label_of = function
         | [] -> Session.name s
-        | tr :: rest -> if Session.id tr.sender = Session.id s then tr.label else label_of rest
+        | tr :: rest ->
+          if Session.id tr.sender = Session.id s then tr.label else label_of rest
       in
       let label = label_of t.tracked in
       let key = (Session.local_addr s * 1_000_000) + Session.id s in

@@ -14,7 +14,12 @@ type 'a t = {
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let make cap =
-  { keys = Array.make cap free; vals = Array.make cap None; shift = 63 - log2 cap; count = 0 }
+  {
+    keys = Array.make cap free;
+    vals = Array.make cap None;
+    shift = 63 - log2 cap;
+    count = 0;
+  }
 
 (* At most half full: twice the hint, rounded up to a power of two. *)
 let create n =

@@ -10,8 +10,9 @@ open Parsetree
 let found = ref []
 
 let check file (lid : Longident.t Location.loc) =
-  if List.mem "Hashtbl" (Longident.flatten lid.txt) then
-    found := (file, lid.loc.loc_start.pos_lnum, String.concat "." (Longident.flatten lid.txt)) :: !found
+  let path = Longident.flatten lid.txt in
+  if List.mem "Hashtbl" path then
+    found := (file, lid.loc.loc_start.pos_lnum, String.concat "." path) :: !found
 
 let iterator file =
   let open Ast_iterator in
@@ -35,7 +36,8 @@ let () =
   Array.iteri
     (fun i file ->
       if i > 0 then begin
-        let lexbuf = Lexing.from_string (In_channel.with_open_bin file In_channel.input_all) in
+        let source = In_channel.with_open_bin file In_channel.input_all in
+        let lexbuf = Lexing.from_string source in
         Location.init lexbuf file;
         let it = iterator file in
         it.structure it (Parse.implementation lexbuf)
@@ -43,6 +45,7 @@ let () =
     Sys.argv;
   List.iter
     (fun (file, line, name) ->
-      Printf.eprintf "%s:%d: %s on the per-PDU path: use Inttbl or an array\n" file line name)
+      Printf.eprintf "%s:%d: %s on the per-PDU path: use Inttbl or an array\n" file line
+        name)
     (List.rev !found);
   if !found <> [] then exit 1

@@ -217,10 +217,8 @@ let test_hostile_syn_keeps_clamp () =
   let stack, a, b = stack_with (Profiles.bisdn_path ()) in
   let net = stack.Adaptive.net in
   let hostile = { Scs.default with Scs.recv_buffer_segments = -1_000_000 } in
-  let syn =
-    Pdu.Syn
-      { conn = Network.fresh_conn_id net; blob = "startseq=0;" ^ Scs.to_blob hostile; first = None }
-  in
+  let blob = "startseq=0;" ^ Scs.to_blob hostile in
+  let syn = Pdu.Syn { conn = Network.fresh_conn_id net; blob; first = None } in
   Network.send net ~src:a ~dst:b ~bytes:(Pdu.wire_bytes syn) syn;
   Adaptive.run stack ~until:(Time.ms 100);
   let disp = Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts b) in

@@ -466,7 +466,9 @@ let test_words_per_data_pdu () =
   Topology.set_symmetric_route topo ~a ~b (lan ());
   let net = Network.create engine ~rng:(Rng.create 1) topo in
   let unites = Unites.create engine in
-  let disp addr = Session.Dispatcher.create net ~addr ~host:(Host.zero_cost engine) ~unites in
+  let disp addr =
+    Session.Dispatcher.create net ~addr ~host:(Host.zero_cost engine) ~unites
+  in
   let disp_a = disp a and disp_b = disp b in
   let delivered = ref 0 in
   Session.Dispatcher.set_acceptor disp_b (fun ~src:_ ~conn:_ ~proposal ->
